@@ -77,32 +77,20 @@ func portAddr(addr string, i int) (string, error) {
 
 // netTransport opens one line transport endpoint for the given role.
 func netTransport(nc netConfig, tcfg transport.Config, i int) (transport.LineTransport, error) {
-	if nc.proto == "tcp" {
-		c := transport.TCPConfig{Config: tcfg}
-		var err error
-		if nc.listen != "" {
-			if c.ListenAddr, err = portAddr(nc.listen, i); err != nil {
-				return nil, err
-			}
-		} else {
-			if c.DialAddr, err = portAddr(nc.dial, i); err != nil {
-				return nil, err
-			}
-		}
-		return transport.NewTCP(c)
-	}
-	c := transport.UDPConfig{Config: tcfg}
+	var listen, dial string
 	var err error
 	if nc.listen != "" {
-		if c.ListenAddr, err = portAddr(nc.listen, i); err != nil {
-			return nil, err
-		}
+		listen, err = portAddr(nc.listen, i)
 	} else {
-		if c.DialAddr, err = portAddr(nc.dial, i); err != nil {
-			return nil, err
-		}
+		dial, err = portAddr(nc.dial, i)
 	}
-	return transport.NewUDP(c)
+	if err != nil {
+		return nil, err
+	}
+	if nc.proto == "tcp" {
+		return transport.NewTCP(transport.TCPConfig{Config: tcfg, ListenAddr: listen, DialAddr: dial})
+	}
+	return transport.NewUDP(transport.UDPConfig{Config: tcfg, ListenAddr: listen, DialAddr: dial})
 }
 
 // runNet is the -listen/-dial mode: this process's half of the link

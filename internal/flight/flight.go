@@ -50,7 +50,9 @@ const (
 	StageEncode Stage = iota
 	// StageTokenize spans hdlc.Tokenizer.Feed for one input chunk.
 	StageTokenize
-	// StageFCS spans ppp.DecodeBodyInto (FCS check + header parse).
+	// StageFCS spans ppp.DecodeVerifiedBodyInto: the PPP header parse
+	// alone, since the tokenizer already checked the FCS. The label is
+	// historical.
 	StageFCS
 	// StageVJ spans Van Jacobson decompression, when active.
 	StageVJ
@@ -470,10 +472,6 @@ func (r *Recorder) TapTx(p []byte) {
 	}
 	r.wireTx.Add(uint64(len(p)))
 }
-
-// RxStream returns the total RX octets ever tapped (the stream offset
-// just past the newest retained byte).
-func (r *Recorder) RxStream() uint64 { return r.rx.n }
 
 // Event records one structured event into the black box ring.
 func (r *Recorder) Event(at int64, name, detail string, v1, v2 int64) {

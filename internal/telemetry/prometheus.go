@@ -128,6 +128,9 @@ func parseLine(line string) (Series, error) {
 	}
 	s := Series{Full: seriesPart, Name: seriesPart, Value: v}
 	if open := strings.IndexByte(seriesPart, '{'); open >= 0 {
+		if !strings.HasSuffix(seriesPart, "}") {
+			return Series{}, fmt.Errorf("unterminated label block in %q", line)
+		}
 		s.Name = seriesPart[:open]
 		labels, err := parseLabels(seriesPart[open+1 : len(seriesPart)-1])
 		if err != nil {

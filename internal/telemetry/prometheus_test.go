@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -45,4 +46,62 @@ func TestWritePrometheusGolden(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("exposition drifted from golden file\n--- got ---\n%s--- want ---\n%s", buf.Bytes(), want)
 	}
+}
+
+// FuzzParseText feeds arbitrary text to the scrape-side parser, which
+// obsnet and p5stat run on remote /metrics bodies: no input may panic,
+// and a parsed series' family name prefixes its full series. Each input
+// also drives a small registry — its printable octets as a label
+// value, its length and first octets as sample values — through
+// WritePrometheus and back through ParseText, which must reproduce
+// every value.
+func FuzzParseText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		if series, err := ParseText(strings.NewReader(in)); err == nil {
+			for _, s := range series {
+				if !strings.HasPrefix(s.Full, s.Name) {
+					t.Fatalf("series %q: name %q is not its prefix", s.Full, s.Name)
+				}
+			}
+		}
+
+		label := strings.Map(func(r rune) rune {
+			if r < 0x20 || r > 0x7E {
+				return -1
+			}
+			return r
+		}, in)
+		gauge := int64(0)
+		for i := 0; i < len(in) && i < 4; i++ {
+			gauge = gauge<<8 | int64(in[i])
+		}
+		r := NewRegistry()
+		r.Counter("a_total", "help a").Add(uint64(len(in)))
+		r.Gauge("b", "", L("k", label)).Set(-gauge)
+		h := r.Histogram("c", "", []int64{64, 128})
+		for i := 0; i < len(in); i++ {
+			h.Observe(int64(in[i]))
+		}
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		series, err := ParseText(&buf)
+		if err != nil {
+			t.Fatalf("own exposition rejected: %v\n%s", err, buf.String())
+		}
+		got := map[string]Series{}
+		for _, s := range series {
+			got[s.Name] = s
+		}
+		if s := got["a_total"]; s.Value != float64(len(in)) {
+			t.Errorf("a_total = %v, want %d", s.Value, len(in))
+		}
+		if s := got["b"]; s.Value != float64(-gauge) || s.Label("k") != label {
+			t.Errorf("b = %+v, want %d with k=%q", s, -gauge, label)
+		}
+		if s := got["c_count"]; s.Value != float64(len(in)) {
+			t.Errorf("c_count = %v, want %d", s.Value, len(in))
+		}
+	})
 }

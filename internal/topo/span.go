@@ -98,13 +98,3 @@ func (s *Span) Framer() *sonet.Framer { return s.fr }
 func (s *Span) Defect() bool {
 	return s.df.Defects.Active()&sonet.ServiceAffecting != 0
 }
-
-// CutLOS appends a loss-of-signal window to the span's script,
-// covering ticks [fromTick, fromTick+ticks): the scripted equivalent
-// of unplugging this fibre for that long. It composes with any
-// existing injector script only if called before SetScript; prefer
-// building the whole script first.
-func CutLOS(sc *fault.Script, level sonet.Level, fromTick, ticks int64) *fault.Script {
-	fb := int64(level.FrameBytes())
-	return sc.LOS(fromTick*fb, int(ticks*fb))
-}

@@ -195,9 +195,6 @@ func (r *Ring) Nodes() int { return len(r.nodes) }
 // Now returns the last ticked virtual time.
 func (r *Ring) Now() int64 { return r.now }
 
-// BlockBytes returns the octets per slot per frame.
-func (r *Ring) BlockBytes() int { return r.block }
-
 // Span returns the directed span leaving node src on rotation rot.
 func (r *Ring) Span(rot Rotation, src int) *Span { return r.spans[rot][src] }
 
@@ -216,9 +213,6 @@ func (r *Ring) SpansBetween(u, v int) (uv, vu *Span, err error) {
 
 // Circuits returns the provisioned circuits.
 func (r *Ring) Circuits() []*Circuit { return r.circuits }
-
-// SlotCircuit returns the circuit owning a slot (nil when unused).
-func (r *Ring) SlotCircuit(slot int) *Circuit { return r.slotCirc[slot] }
 
 // AddCircuit provisions a bidirectional circuit and returns its two
 // endpoint ports (at c.A and c.B respectively). Call before the first

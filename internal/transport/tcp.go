@@ -6,8 +6,6 @@ import (
 	"net"
 	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // TCP is the stream socket transport: the same wire records as UDP,
@@ -20,44 +18,18 @@ import (
 // and keepalive probes whose misses reset the connection so dead peers
 // are re-dialed instead of trusted forever.
 type TCP struct {
-	cfg      Config
+	endpoint
 	dialAddr string
 	ln       net.Listener
+	cond     *sync.Cond
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	closed bool
-	muted  bool
-	st     Stats
-
-	conn      net.Conn
-	connGen   int
-	connected bool
-	everUp    bool
+	conn    net.Conn
+	connGen int
+	everUp  bool
 
 	dialing bool
 	retryAt int64
-	tickNow int64
 	bo      backoff
-
-	sq chunkQueue
-	rq rxQueue
-
-	epoch uint32
-	seq   uint64
-
-	peerEpoch uint32
-	gotEpoch  bool
-	peerSeq   uint64
-
-	alive    bool
-	rxCount  uint64
-	kaNext   int64
-	kaLastRx uint64
-	kaMisses int
-
-	lm meter
-	fz freezeBox
 }
 
 // TCPConfig places a TCP endpoint.
@@ -82,15 +54,10 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 	if (cfg.ListenAddr == "") == (cfg.DialAddr == "") {
 		return nil, fmt.Errorf("transport: TCP needs exactly one of ListenAddr or DialAddr")
 	}
-	t := &TCP{
-		cfg:      cfg.Config,
-		dialAddr: cfg.DialAddr,
-		epoch:    uint32(time.Now().UnixNano()) | 1,
-		bo:       newBackoff(cfg.Config),
-		lm:       newMeter(cfg.LatencySampleShift),
-	}
+	t := &TCP{dialAddr: cfg.DialAddr, bo: newBackoff(cfg.Config)}
 	t.cond = sync.NewCond(&t.mu)
-	t.sq.limit = cfg.queueLimit()
+	t.init(cfg.Config, cfg.ListenAddr != "", t.cond.Broadcast)
+	t.hangUp = t.hangUpLocked
 	if cfg.ListenAddr != "" {
 		ln, err := net.Listen("tcp", cfg.ListenAddr)
 		if err != nil {
@@ -153,7 +120,7 @@ func (t *TCP) install(c net.Conn) {
 	t.conn = c
 	t.connGen++
 	gen := t.connGen
-	t.connected = true
+	t.linked = true
 	t.alive = true
 	t.kaMisses = 0
 	if t.everUp {
@@ -162,28 +129,31 @@ func (t *TCP) install(c net.Conn) {
 	t.everUp = true
 	t.bo.reset()
 	t.retryAt = 0
-	t.cond.Broadcast()
+	t.kick()
 	t.mu.Unlock()
 	go t.reader(c, gen)
 }
 
-// dropConn retires c (read/write error, keepalive give-up): the dialer
-// schedules a jittered re-dial, the listener waits for the next accept.
+// dropConn retires c after a read or write error, unless a newer
+// connection has already replaced it.
 func (t *TCP) dropConn(c net.Conn, gen int) {
 	t.mu.Lock()
-	if t.connGen != gen || t.conn != c {
-		t.mu.Unlock()
-		return
+	defer t.mu.Unlock()
+	if t.connGen == gen && t.conn == c {
+		t.lose()
 	}
-	c.Close()
+}
+
+// hangUpLocked closes the connection of a lost peer (read/write error,
+// keepalive give-up): the dialer schedules a jittered re-dial, the
+// listener waits for the next accept. It is the core's hangUp.
+func (t *TCP) hangUpLocked() {
+	t.conn.Close()
 	t.conn = nil
-	t.connected = false
-	t.alive = false
-	t.st.Resets++
+	t.linked = false
 	if t.dialAddr != "" {
 		t.retryAt = t.tickNow + t.bo.next()
 	}
-	t.mu.Unlock()
 }
 
 // reader parses wire records off c until it fails. A magic mismatch is
@@ -198,14 +168,11 @@ func (t *TCP) reader(c net.Conn, gen int) {
 		}
 		h, err := DecodeHeader(hdr[:])
 		if err != nil {
+			// A version-skewed peer resets on its first record and never
+			// comes up — the clean rejection path, counted so fleet
+			// scrapes can name the cause.
 			t.mu.Lock()
-			if err == ErrBadVersion {
-				// A version-skewed peer resets on its first record and
-				// never comes up — the clean rejection path, counted so
-				// fleet scrapes can name the cause.
-				t.st.RxBadVersion++
-			}
-			t.st.RxDropped++
+			t.reject(err)
 			t.mu.Unlock()
 			t.dropConn(c, gen)
 			return
@@ -224,62 +191,14 @@ func (t *TCP) reader(c net.Conn, gen int) {
 			t.mu.Unlock()
 			return
 		}
-		if t.muted {
-			// Line cut: keep parsing the stream to stay record-aligned,
-			// but the dark window hides everything from delivery and
-			// liveness accounting alike.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
+		// A muted line keeps parsing the stream to stay record-aligned.
+		if reply := t.receive(h, payload, nil, rxWall); reply != nil {
+			// Answer through the send queue: t3 is already stamped, so
+			// writer-queue delay lands in the measured RTT — honest for
+			// a stream transport, where queued data delays everything
+			// else too.
+			t.push(append(t.sq.get(), reply...))
 		}
-		t.rxCount++
-		t.alive = true
-		if !t.gotEpoch || h.Epoch != t.peerEpoch {
-			t.gotEpoch = true
-			t.peerEpoch = h.Epoch
-			t.peerSeq = 0
-		}
-		t.lm.noteTick(h.Tick, t.tickNow)
-		switch h.Type {
-		case TypeKeepalive:
-			// Answer through the send queue. t3 is stamped at queue
-			// time, so writer-queue delay lands in the measured RTT —
-			// honest for a stream transport, where queued data delays
-			// everything else too.
-			if h.Wall != 0 {
-				buf := t.sq.get()
-				buf = AppendHeader(buf, TypeKeepaliveReply, KeepaliveReplyLen,
-					t.epoch, t.seq, t.tickNow, 0)
-				buf = AppendKeepaliveReplyPayload(buf, h.Wall, rxWall, time.Now().UnixNano())
-				t.sq.push(buf)
-				t.cond.Broadcast()
-			}
-			t.mu.Unlock()
-			continue
-		case TypeKeepaliveReply:
-			if t1, t2, t3, perr := DecodeKeepaliveReply(payload); perr == nil {
-				t.lm.noteReply(t1, t2, t3, rxWall)
-			}
-			t.mu.Unlock()
-			continue
-		case TypeFreeze:
-			if inc, trigTick, trigWall, reason, perr := DecodeFreeze(payload); perr == nil {
-				t.fz.note(FreezeInfo{Incident: inc, Reason: reason, Tick: trigTick, WallNs: trigWall})
-			}
-			t.mu.Unlock()
-			continue
-		}
-		if h.Seq <= t.peerSeq {
-			// A replayed record after a reconnect race: drop rather
-			// than splice stale octets into the stream.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.peerSeq = h.Seq
-		t.rq.push(t.rq.get(payload))
-		t.st.RxChunks++
-		t.st.RxBytes += uint64(len(payload))
 		t.mu.Unlock()
 	}
 }
@@ -326,209 +245,39 @@ func (t *TCP) writer() {
 	}
 }
 
-// Mute simulates a line cut at this endpoint: the writer pauses (data
-// holds in the bounded queue, oldest dropped), keepalive probes stop,
-// and received records are parsed but discarded before liveness
-// accounting. The chaos adapter drives this for scripted blackout
-// windows.
-func (t *TCP) Mute(on bool) {
-	t.mu.Lock()
-	t.muted = on
-	t.cond.Broadcast()
-	t.mu.Unlock()
-}
-
-// Send splits p into MaxChunk records and queues them for the writer.
-func (t *TCP) Send(p []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	maxChunk := t.cfg.maxChunk()
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		buf := t.sq.get()
-		t.seq++
-		wall := int64(0)
-		if t.lm.stampWall(t.seq) {
-			wall = time.Now().UnixNano()
-		}
-		buf = AppendHeader(buf, TypeData, n, t.epoch, t.seq, t.tickNow, wall)
-		buf = append(buf, p[:n]...)
-		p = p[n:]
-		t.sq.push(buf)
-	}
-	t.cond.Broadcast()
-	return nil
-}
-
-// Recv appends the record payloads received since the previous Recv.
-func (t *TCP) Recv(dst [][]byte) [][]byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append(dst, t.rq.drain()...)
-}
-
-// Tick schedules dial attempts and runs keepalive accounting.
+// Tick schedules dial attempts and runs pending freeze transmission
+// and, while connected, keepalive accounting.
 func (t *TCP) Tick(now int64) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.tickNow = now
 	if t.closed {
-		t.mu.Unlock()
 		return
 	}
-	if t.dialAddr != "" && !t.connected && !t.dialing && now >= t.retryAt {
+	if t.dialAddr != "" && !t.linked && !t.dialing && now >= t.retryAt {
 		t.dialing = true
 		go t.dial()
 	}
-	t.flushFreezeLocked(now)
-	period := t.cfg.KeepalivePeriod
-	if period <= 0 || !t.connected {
-		t.kaNext = 0
-		t.mu.Unlock()
+	t.flushFreeze(now)
+	if !t.linked {
+		t.kaNext = 0 // re-arm the schedule on the next connection
 		return
 	}
-	if t.kaNext == 0 {
-		t.kaNext = now + period
-		t.kaLastRx = t.rxCount
-		t.mu.Unlock()
-		return
-	}
-	if now < t.kaNext {
-		t.mu.Unlock()
-		return
-	}
-	t.kaNext = now + period
-	giveUp := false
-	var c net.Conn
-	var gen int
-	if t.rxCount == t.kaLastRx {
-		t.kaMisses++
-		t.st.KeepaliveMisses++
-		if t.kaMisses >= t.cfg.keepaliveMisses() {
-			// The connection is open but the peer is silent: treat it
-			// as dead and force a reconnect cycle.
-			giveUp, c, gen = true, t.conn, t.connGen
-		}
-	} else {
-		t.kaMisses = 0
-	}
-	t.kaLastRx = t.rxCount
-	if !giveUp && !t.muted {
-		buf := t.sq.get()
-		// The probe's wall stamp is the NTP t1 origin.
-		buf = AppendHeader(buf, TypeKeepalive, 0, t.epoch, t.seq, now, time.Now().UnixNano())
-		t.sq.push(buf)
-		t.st.KeepaliveProbes++
-		t.cond.Broadcast()
-	}
-	t.mu.Unlock()
-	if giveUp {
-		t.dropConn(c, gen)
-	}
+	t.keepalive(now)
 }
 
 // dial runs one connect attempt off the tick loop.
 func (t *TCP) dial() {
 	c, err := net.DialTimeout("tcp", t.dialAddr, dialTimeout)
-	if err != nil {
-		t.mu.Lock()
-		t.dialing = false
-		t.retryAt = t.tickNow + t.bo.next()
-		closed := t.closed
-		t.mu.Unlock()
-		_ = closed
-		return
-	}
 	t.mu.Lock()
 	t.dialing = false
-	closed := t.closed
+	if err != nil {
+		t.retryAt = t.tickNow + t.bo.next()
+	}
 	t.mu.Unlock()
-	if closed {
-		c.Close()
-		return
+	if err == nil {
+		t.install(c) // closes c if the transport closed meanwhile
 	}
-	t.install(c)
-}
-
-// flushFreezeLocked queues one due pending freeze for the writer.
-// Retries are gated on the line being alive, so a freeze raised while
-// disconnected waits for the reconnect instead of exhausting its
-// tries into a dead stream.
-func (t *TCP) flushFreezeLocked(now int64) {
-	fi := t.fz.due(now, t.connected && t.alive && !t.muted, t.cfg.KeepalivePeriod)
-	if fi == nil {
-		return
-	}
-	reason := fi.Reason
-	if len(reason) > freezeReasonMax {
-		reason = reason[:freezeReasonMax]
-	}
-	buf := t.sq.get()
-	buf = AppendHeader(buf, TypeFreeze, 25+len(reason), t.epoch, t.seq, now, 0)
-	buf = AppendFreezePayload(buf, fi.Incident, fi.Tick, fi.WallNs, reason)
-	t.sq.push(buf)
-	t.cond.Broadcast()
-}
-
-// SendFreeze queues a capture-correlation freeze toward the peer.
-func (t *TCP) SendFreeze(info FreezeInfo) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.fz.queue(info)
-	t.flushFreezeLocked(t.tickNow)
-}
-
-// Freezes appends and returns the freezes received since the last call.
-func (t *TCP) Freezes(dst []FreezeInfo) []FreezeInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fz.drain(dst)
-}
-
-// CorrelationLeader reports whether this end assigns shared incident
-// IDs (epoch comparison; the listener wins ties).
-func (t *TCP) CorrelationLeader() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return leader(t.epoch, t.peerEpoch, t.gotEpoch, t.ln != nil)
-}
-
-// Latency returns the endpoint's latency summary.
-func (t *TCP) Latency() Latency {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lm.latency()
-}
-
-// LatencyHist returns the live latency histograms (µs).
-func (t *TCP) LatencyHist() (oneWay, jitter, rtt *telemetry.Histogram) {
-	return t.lm.oneWay, t.lm.jitter, t.lm.rtt
-}
-
-// Up reports connection and dead-peer status.
-func (t *TCP) Up() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.connected && t.alive && !t.closed
-}
-
-// Stats returns a snapshot of the endpoint's counters.
-func (t *TCP) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st
-	st.TxDropped += t.sq.dropped
-	st.QueueDepth = len(t.sq.bufs)
-	st.QueueHighWater = t.sq.highWater
-	return st
 }
 
 // Close shuts down the listener, the connection, the writer and the
@@ -542,8 +291,8 @@ func (t *TCP) Close() error {
 	t.closed = true
 	conn := t.conn
 	t.conn = nil
-	t.connected = false
-	t.cond.Broadcast()
+	t.linked = false
+	t.kick()
 	t.mu.Unlock()
 	if t.ln != nil {
 		t.ln.Close()

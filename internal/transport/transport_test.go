@@ -329,106 +329,176 @@ func TestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// TestUDPSeqDedup crafts raw wire datagrams — duplicated and reordered
-// at the socket, after sequence stamping — and asserts the receiver
-// delivers only the in-order subset: the defense that keeps a chaotic
-// network from splicing stale octets into the HDLC stream.
-func TestUDPSeqDedup(t *testing.T) {
-	ln, err := NewUDP(UDPConfig{ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	raw, err := net.Dial("udp", ln.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
+// socket is the surface the table-driven tests drive on both socket
+// transports.
+type socket interface {
+	LineTransport
+	Freezer
+	LatencyMeter
+	LocalAddr() net.Addr
+}
 
-	const epoch = 0xBEEF
-	send := func(seq uint64, payload string) {
-		b := AppendHeader(nil, TypeData, len(payload), epoch, seq, 0, 0)
-		b = append(b, payload...)
-		if _, err := raw.Write(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// seq 1, 2, 2 (dup), 4, 3 (reordered behind 4), 5.
-	for _, m := range []struct {
-		seq uint64
-		p   string
-	}{{1, "s1"}, {2, "s2"}, {2, "s2-dup"}, {4, "s4"}, {3, "s3-stale"}, {5, "s5"}} {
-		send(m.seq, m.p)
-	}
+// sockKind is one row of the table-driven socket tests: both
+// transports embed one endpoint core, so one test body covers both.
+type sockKind struct {
+	name   string
+	stream bool // TCP: records ride a connection a decode error resets
+	listen func(Config) (socket, error)
+	dial   func(cfg Config, addr string) (socket, error)
+}
 
-	now := int64(0)
-	var got [][]byte
-	deadline := time.Now().Add(5 * time.Second)
-	for len(got) < 4 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out with %d/4 chunks: %q", len(got), got)
-		}
-		now++
-		ln.Tick(now)
-		for _, c := range ln.Recv(nil) {
-			got = append(got, append([]byte(nil), c...))
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	want := []string{"s1", "s2", "s4", "s5"}
-	for i, c := range got {
-		if string(c) != want[i] {
-			t.Fatalf("delivered %q, want %v", got, want)
-		}
-	}
-	// Give the stale datagrams time to land, then confirm they stayed
-	// dropped rather than late-delivered.
-	time.Sleep(10 * time.Millisecond)
-	ln.Tick(now + 1)
-	if extra := ln.Recv(nil); len(extra) != 0 {
-		t.Fatalf("stale datagrams delivered late: %q", extra)
-	}
-	if st := ln.Stats(); st.RxDropped != 2 {
-		t.Fatalf("RxDropped = %d, want 2 (one dup, one stale)", st.RxDropped)
+var sockKinds = []sockKind{
+	{"udp", false,
+		func(cfg Config) (socket, error) { return NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"}) },
+		func(cfg Config, addr string) (socket, error) { return NewUDP(UDPConfig{Config: cfg, DialAddr: addr}) }},
+	{"tcp", true,
+		func(cfg Config) (socket, error) { return NewTCP(TCPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"}) },
+		func(cfg Config, addr string) (socket, error) { return NewTCP(TCPConfig{Config: cfg, DialAddr: addr}) }},
+}
+
+// forSockets runs body once per socket transport as a subtest.
+func forSockets(t *testing.T, body func(t *testing.T, k sockKind)) {
+	for _, k := range sockKinds {
+		t.Run(k.name, func(t *testing.T) { body(t, k) })
 	}
 }
 
-// TestUDPBadVersionRejected: a datagram carrying an unknown wire
-// version is counted and dropped without latching the sender as a live
-// peer — the clean failure mode for version skew across a fleet.
-func TestUDPBadVersionRejected(t *testing.T) {
-	ln, err := NewUDP(UDPConfig{ListenAddr: "127.0.0.1:0"})
+// listener opens a loopback listener, closed when the test ends.
+func (k sockKind) listener(t *testing.T, cfg Config) socket {
+	t.Helper()
+	ln, err := k.listen(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	raw, err := net.Dial("udp", ln.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
+	t.Cleanup(func() { ln.Close() })
+	return ln
+}
 
-	b := AppendHeader(nil, TypeData, 2, 1, 1, 0, 0)
-	b[4] = 1 // the v1 header a stale peer would send
-	b = append(b, 'h', 'i')
-	if _, err := raw.Write(b); err != nil {
+// pair opens a listener and a dialer aimed at it.
+func (k sockKind) pair(t *testing.T, cfg Config) (ln, dl socket) {
+	t.Helper()
+	ln = k.listener(t, cfg)
+	dl, err := k.dial(cfg, ln.LocalAddr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for ln.Stats().RxBadVersion == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("bad-version datagram never counted")
+	t.Cleanup(func() { dl.Close() })
+	return ln, dl
+}
+
+// raw opens a plain socket to ln, the way a foreign or version-skewed
+// peer would: a UDP datagram socket, or a TCP stream on which each
+// write is one record.
+func (k sockKind) raw(t *testing.T, ln socket) net.Conn {
+	t.Helper()
+	c, err := net.Dial(k.name, ln.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// TestUDPSeqDedup crafts raw wire records — duplicated and reordered
+// after sequence stamping — and asserts the receiver delivers only the
+// in-order subset: the defense that keeps a chaotic network, or a
+// replay after a reconnect race, from splicing stale octets into the
+// HDLC stream. Both socket transports share the core's cursor.
+func TestUDPSeqDedup(t *testing.T) {
+	forSockets(t, func(t *testing.T, k sockKind) {
+		ln := k.listener(t, Config{})
+		raw := k.raw(t, ln)
+
+		const epoch = 0xBEEF
+		send := func(seq uint64, payload string) {
+			b := AppendHeader(nil, TypeData, len(payload), epoch, seq, 0, 0)
+			b = append(b, payload...)
+			if _, err := raw.Write(b); err != nil {
+				t.Fatal(err)
+			}
 		}
-		ln.Tick(0)
-		time.Sleep(100 * time.Microsecond)
-	}
-	st := ln.Stats()
-	if st.RxBadVersion != 1 || st.RxDropped != 1 {
-		t.Fatalf("stats after version skew: %+v", st)
-	}
-	if ln.Up() || len(ln.Recv(nil)) != 0 {
-		t.Fatal("skewed peer latched as alive")
-	}
+		// seq 1, 2, 2 (dup), 4, 3 (reordered behind 4), 5.
+		for _, m := range []struct {
+			seq uint64
+			p   string
+		}{{1, "s1"}, {2, "s2"}, {2, "s2-dup"}, {4, "s4"}, {3, "s3-stale"}, {5, "s5"}} {
+			send(m.seq, m.p)
+		}
+
+		now := int64(0)
+		var got [][]byte
+		deadline := time.Now().Add(5 * time.Second)
+		for len(got) < 4 {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out with %d/4 chunks: %q", len(got), got)
+			}
+			now++
+			ln.Tick(now)
+			for _, c := range ln.Recv(nil) {
+				got = append(got, append([]byte(nil), c...))
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		want := []string{"s1", "s2", "s4", "s5"}
+		for i, c := range got {
+			if string(c) != want[i] {
+				t.Fatalf("delivered %q, want %v", got, want)
+			}
+		}
+		// Give the stale records time to land, then confirm they stayed
+		// dropped rather than late-delivered.
+		time.Sleep(10 * time.Millisecond)
+		ln.Tick(now + 1)
+		if extra := ln.Recv(nil); len(extra) != 0 {
+			t.Fatalf("stale records delivered late: %q", extra)
+		}
+		if st := ln.Stats(); st.RxDropped != 2 {
+			t.Fatalf("RxDropped = %d, want 2 (one dup, one stale)", st.RxDropped)
+		}
+	})
+}
+
+// TestUDPBadVersionRejected: a record carrying an unknown wire version
+// is counted and dropped without latching the sender as a live peer —
+// the clean failure mode for version skew across a fleet. On TCP the
+// record also desynchronises the stream, so the connection is reset.
+func TestUDPBadVersionRejected(t *testing.T) {
+	forSockets(t, func(t *testing.T, k sockKind) {
+		ln := k.listener(t, Config{})
+		raw := k.raw(t, ln)
+
+		b := AppendHeader(nil, TypeData, 2, 1, 1, 0, 0)
+		b[4] = 1 // the v1 header a stale peer would send
+		b = append(b, 'h', 'i')
+		if _, err := raw.Write(b); err != nil {
+			t.Fatal(err)
+		}
+		wantResets := uint64(0)
+		if k.stream {
+			wantResets = 1
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for st := ln.Stats(); st.RxBadVersion == 0 || st.Resets < wantResets; st = ln.Stats() {
+			if time.Now().After(deadline) {
+				t.Fatalf("bad-version record never counted: %+v", st)
+			}
+			ln.Tick(0)
+			time.Sleep(100 * time.Microsecond)
+		}
+		st := ln.Stats()
+		if st.RxBadVersion != 1 || st.RxDropped != 1 || st.Resets != wantResets {
+			t.Fatalf("stats after version skew: %+v", st)
+		}
+		if ln.Up() || len(ln.Recv(nil)) != 0 {
+			t.Fatal("skewed peer latched as alive")
+		}
+		if k.stream {
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := raw.Read(make([]byte, 1)); err == nil {
+				t.Fatal("skewed stream not reset")
+			}
+		}
+	})
 }
 
 // TestUDPLatencyExchange drives a real loopback pair and asserts the
@@ -436,99 +506,85 @@ func TestUDPBadVersionRejected(t *testing.T) {
 // wall stamps on data chunks, RTT samples from the keepalive
 // probe/reply exchange.
 func TestUDPLatencyExchange(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 2, LatencySampleShift: 1}
-	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	dl, err := NewUDP(UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dl.Close()
+	forSockets(t, func(t *testing.T, k sockKind) {
+		cfg := Config{KeepalivePeriod: 2, LatencySampleShift: 1}
+		ln, dl := k.pair(t, cfg)
 
-	now := int64(0)
-	for i := 0; i < 16; i++ {
-		dl.Send([]byte("tick"))
-	}
-	collect(t, ln, dl, 16, &now)
-	if lat := ln.Latency(); lat.Samples == 0 {
-		t.Fatalf("no one-way samples after 16 stamped chunks: %+v", lat)
-	}
-
-	// Reverse traffic marks the dialer's peer alive, after which its
-	// keepalive probes (wall-stamped) earn RTT samples from replies.
-	ln.Send([]byte("back"))
-	collect(t, dl, ln, 1, &now)
-	deadline := time.Now().Add(5 * time.Second)
-	for dl.Latency().RTTSamples == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("no RTT samples: %+v", dl.Latency())
+		now := int64(0)
+		for i := 0; i < 16; i++ {
+			dl.Send([]byte("tick"))
 		}
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
-		time.Sleep(100 * time.Microsecond)
-	}
-	lat := dl.Latency()
-	if lat.ClockOffsetNS > 1e9 || lat.ClockOffsetNS < -1e9 {
-		t.Fatalf("loopback clock offset estimate off by >1s: %+v", lat)
-	}
+		collect(t, ln, dl, 16, &now)
+		if lat := ln.Latency(); lat.Samples == 0 {
+			t.Fatalf("no one-way samples after 16 stamped chunks: %+v", lat)
+		}
+
+		// Reverse traffic marks the dialer's peer alive, after which its
+		// keepalive probes (wall-stamped) earn RTT samples from replies.
+		ln.Send([]byte("back"))
+		collect(t, dl, ln, 1, &now)
+		deadline := time.Now().Add(5 * time.Second)
+		for dl.Latency().RTTSamples == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no RTT samples: %+v", dl.Latency())
+			}
+			now++
+			dl.Tick(now)
+			ln.Tick(now)
+			time.Sleep(100 * time.Microsecond)
+		}
+		lat := dl.Latency()
+		if lat.ClockOffsetNS > 1e9 || lat.ClockOffsetNS < -1e9 {
+			t.Fatalf("loopback clock offset estimate off by >1s: %+v", lat)
+		}
+	})
 }
 
 // TestUDPFreezeExchange: a freeze ping queued on one end surfaces on
 // the peer exactly once — retransmissions are deduplicated by incident.
 func TestUDPFreezeExchange(t *testing.T) {
-	cfg := Config{KeepalivePeriod: 2}
-	ln, err := NewUDP(UDPConfig{Config: cfg, ListenAddr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	dl, err := NewUDP(UDPConfig{Config: cfg, DialAddr: ln.LocalAddr().String()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dl.Close()
+	forSockets(t, func(t *testing.T, k sockKind) {
+		cfg := Config{KeepalivePeriod: 2}
+		ln, dl := k.pair(t, cfg)
 
-	// Two-way traffic so both ends see a live peer.
-	now := int64(0)
-	dl.Send([]byte("fwd"))
-	collect(t, ln, dl, 1, &now)
-	ln.Send([]byte("rev"))
-	collect(t, dl, ln, 1, &now)
+		// Two-way traffic so both ends see a live peer.
+		now := int64(0)
+		dl.Send([]byte("fwd"))
+		collect(t, ln, dl, 1, &now)
+		ln.Send([]byte("rev"))
+		collect(t, dl, ln, 1, &now)
 
-	want := FreezeInfo{Incident: 0xC0FFEE, Reason: "transport-los", Tick: 41, WallNs: 1234}
-	dl.SendFreeze(want)
-	var got []FreezeInfo
-	deadline := time.Now().Add(5 * time.Second)
-	for len(got) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("freeze never arrived")
+		want := FreezeInfo{Incident: 0xC0FFEE, Reason: "transport-los", Tick: 41, WallNs: 1234}
+		dl.SendFreeze(want)
+		var got []FreezeInfo
+		deadline := time.Now().Add(5 * time.Second)
+		for len(got) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("freeze never arrived")
+			}
+			now++
+			dl.Tick(now)
+			ln.Tick(now)
+			got = ln.Freezes(got)
+			time.Sleep(100 * time.Microsecond)
 		}
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
-		got = ln.Freezes(got)
-		time.Sleep(100 * time.Microsecond)
-	}
-	if got[0] != want {
-		t.Fatalf("freeze round trip: got %+v, want %+v", got[0], want)
-	}
-	// Let every retransmission land; dedup must keep the count at one.
-	for i := 0; i < 4*int(cfg.KeepalivePeriod)+4; i++ {
-		now++
-		dl.Tick(now)
-		ln.Tick(now)
-		time.Sleep(100 * time.Microsecond)
-	}
-	if extra := ln.Freezes(nil); len(extra) != 0 {
-		t.Fatalf("retransmitted freeze delivered twice: %+v", extra)
-	}
-	if len(got) != 1 {
-		t.Fatalf("freeze count %d, want 1", len(got))
-	}
+		if got[0] != want {
+			t.Fatalf("freeze round trip: got %+v, want %+v", got[0], want)
+		}
+		// Let every retransmission land; dedup must keep the count at one.
+		for i := 0; i < 4*int(cfg.KeepalivePeriod)+4; i++ {
+			now++
+			dl.Tick(now)
+			ln.Tick(now)
+			time.Sleep(100 * time.Microsecond)
+		}
+		if extra := ln.Freezes(nil); len(extra) != 0 {
+			t.Fatalf("retransmitted freeze delivered twice: %+v", extra)
+		}
+		if len(got) != 1 {
+			t.Fatalf("freeze count %d, want 1", len(got))
+		}
+	})
 }
 
 // TestCorrelationLeader pins the freeze leader election: higher epoch

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
-	"sync"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // UDP is the datagram socket transport: one chunk of wire octets per
@@ -29,43 +26,13 @@ import (
 // clock offset against its peer (LatencyMeter). It also carries the
 // capture-correlation freeze channel (Freezer).
 type UDP struct {
-	cfg      Config
-	conn     *net.UDPConn
-	listener bool
-
-	mu     sync.Mutex
-	closed bool
-	muted  bool
-	st     Stats
-	peer   netip.AddrPort
-
-	sq       chunkQueue
-	rq       rxQueue
+	endpoint
+	conn *net.UDPConn
+	peer netip.AddrPort
+	// src is the source of the arrival being handled; a new peer epoch
+	// latches it as the listener's return path.
+	src      netip.AddrPort
 	flushTmp [][]byte
-
-	epoch uint32
-	seq   uint64
-
-	peerEpoch uint32
-	gotEpoch  bool
-	peerSeq   uint64
-
-	alive   bool
-	rxCount uint64
-	tickNow int64
-
-	kaNext   int64
-	kaLastRx uint64
-	kaMisses int
-
-	lm meter
-	fz freezeBox
-
-	// probeBuf and replyBuf are preallocated so the keepalive exchange
-	// never allocates (stack arrays would escape into the socket write).
-	probeBuf  [HeaderLen]byte
-	replyBuf  [HeaderLen + KeepaliveReplyLen]byte
-	freezeBuf [HeaderLen + 64]byte
 }
 
 // UDPConfig places a UDP endpoint.
@@ -101,21 +68,16 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 	if n := envBuffer(cfg.WriteBuffer, "P5_SOCK_WBUF"); n > 0 {
 		conn.SetWriteBuffer(n)
 	}
-	t := &UDP{
-		cfg:      cfg.Config,
-		conn:     conn,
-		listener: cfg.DialAddr == "",
-		epoch:    uint32(time.Now().UnixNano()) | 1,
-		lm:       newMeter(cfg.LatencySampleShift),
-	}
-	t.sq.limit = cfg.queueLimit()
+	t := &UDP{conn: conn}
+	t.init(cfg.Config, cfg.DialAddr == "", t.flushLocked)
+	t.resync = t.latch
 	if cfg.DialAddr != "" {
 		raddr, err := net.ResolveUDPAddr("udp", cfg.DialAddr)
 		if err != nil {
 			conn.Close()
 			return nil, fmt.Errorf("transport: dial %s: %w", cfg.DialAddr, err)
 		}
-		t.peer = raddr.AddrPort()
+		t.peer, t.linked = raddr.AddrPort(), true
 	}
 	go t.reader()
 	return t, nil
@@ -124,60 +86,23 @@ func NewUDP(cfg UDPConfig) (*UDP, error) {
 // LocalAddr returns the bound socket address (useful with ":0").
 func (t *UDP) LocalAddr() net.Addr { return t.conn.LocalAddr() }
 
-// Send splits p into MaxChunk-sized datagrams and queues them; the
-// queue is flushed inline when the peer is known, so in the steady
-// state a Send is its own batched syscall burst.
-func (t *UDP) Send(p []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return ErrClosed
-	}
-	maxChunk := t.cfg.maxChunk()
-	for len(p) > 0 {
-		n := len(p)
-		if n > maxChunk {
-			n = maxChunk
-		}
-		buf := t.sq.get()
-		t.seq++
-		wall := int64(0)
-		if t.lm.stampWall(t.seq) {
-			wall = time.Now().UnixNano()
-		}
-		buf = AppendHeader(buf, TypeData, n, t.epoch, t.seq, t.tickNow, wall)
-		buf = append(buf, p[:n]...)
-		p = p[n:]
-		t.sq.push(buf)
-	}
-	t.flushLocked()
-	return nil
-}
-
-// Mute simulates a line cut at this endpoint: while muted nothing is
-// written to the socket — data holds in the bounded queue (oldest
-// dropped), keepalive probes are suppressed — and everything received
-// is discarded before liveness accounting, so both ends' dead-peer
-// detection sees a genuinely dark line. The chaos adapter drives this
-// for scripted blackout windows.
-func (t *UDP) Mute(on bool) {
-	t.mu.Lock()
-	t.muted = on
-	t.mu.Unlock()
-}
-
-// flushLocked writes every queued datagram to the peer (no-op while
-// the peer is unknown or the line is muted — the bounded queue holds,
-// and drops oldest).
+// flushLocked writes every queued record to the peer (no-op while the
+// peer is unknown or the line is muted — the bounded queue holds, and
+// drops oldest). It is the core's kick.
 func (t *UDP) flushLocked() {
-	if t.muted || !t.peer.IsValid() || len(t.sq.bufs) == 0 {
+	if t.muted || !t.linked || len(t.sq.bufs) == 0 {
 		return
 	}
 	t.flushTmp = t.sq.drainInto(t.flushTmp[:0], 0)
 	for _, buf := range t.flushTmp {
-		if _, err := t.conn.WriteToUDPAddrPort(buf, t.peer); err != nil {
+		_, err := t.conn.WriteToUDPAddrPort(buf, t.peer)
+		switch {
+		case buf[5] != TypeData:
+			// Probes and freezes (octet 5 is the record type) are line
+			// housekeeping, not chunks: they stay out of the counters.
+		case err != nil:
 			t.st.TxDropped++
-		} else {
+		default:
 			t.st.TxChunks++
 			t.st.TxBytes += uint64(len(buf) - HeaderLen)
 		}
@@ -185,11 +110,16 @@ func (t *UDP) flushLocked() {
 	}
 }
 
-// Recv appends the datagram payloads received since the previous Recv.
-func (t *UDP) Recv(dst [][]byte) [][]byte {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append(dst, t.rq.drain()...)
+// latch runs on a new peer epoch: the listener latches (or re-latches)
+// its return path to the arrival's source, and a restarted or rebound
+// peer counts as a reconnection.
+func (t *UDP) latch(restart bool) {
+	if restart {
+		t.st.Reconnects++
+	}
+	if t.listener {
+		t.peer, t.linked = t.src, true
+	}
 }
 
 // Tick runs keepalive probing, dead-peer accounting and pending freeze
@@ -202,108 +132,17 @@ func (t *UDP) Tick(now int64) {
 	}
 	t.tickNow = now
 	t.flushLocked()
-	t.flushFreezeLocked(now)
-	period := t.cfg.KeepalivePeriod
-	if period <= 0 {
-		return
-	}
-	if t.kaNext == 0 {
-		t.kaNext = now + period
-		t.kaLastRx = t.rxCount
-		return
-	}
-	if now < t.kaNext {
-		return
-	}
-	t.kaNext = now + period
-	if t.rxCount == t.kaLastRx {
-		t.kaMisses++
-		t.st.KeepaliveMisses++
-		if t.kaMisses >= t.cfg.keepaliveMisses() && t.alive {
-			t.alive = false
-			t.st.Resets++
-		}
-	} else {
-		t.kaMisses = 0
-	}
-	t.kaLastRx = t.rxCount
-	if t.peer.IsValid() && !t.muted {
-		// The probe's wall stamp is the NTP t1 origin.
-		probe := AppendHeader(t.probeBuf[:0], TypeKeepalive, 0, t.epoch, t.seq,
-			now, time.Now().UnixNano())
-		t.conn.WriteToUDPAddrPort(probe, t.peer)
-		t.st.KeepaliveProbes++
-	}
+	t.flushFreeze(now)
+	t.keepalive(now)
 }
 
-// flushFreezeLocked transmits one due pending freeze. Retries are
-// gated on the line being alive, so a freeze raised during a blackout
-// waits the dark window out instead of exhausting its tries into it.
-func (t *UDP) flushFreezeLocked(now int64) {
-	fi := t.fz.due(now, t.alive && !t.muted && t.peer.IsValid(), t.cfg.KeepalivePeriod)
-	if fi == nil {
-		return
-	}
-	payload := AppendFreezePayload(t.freezeBuf[HeaderLen:HeaderLen], fi.Incident, fi.Tick, fi.WallNs, fi.Reason)
-	buf := AppendHeader(t.freezeBuf[:0], TypeFreeze, len(payload), t.epoch, t.seq, now, 0)
-	buf = buf[:HeaderLen+len(payload)]
-	t.conn.WriteToUDPAddrPort(buf, t.peer)
-}
-
-// SendFreeze queues a capture-correlation freeze toward the peer.
-func (t *UDP) SendFreeze(info FreezeInfo) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	t.fz.queue(info)
-	t.flushFreezeLocked(t.tickNow)
-}
-
-// Freezes appends and returns the freezes received since the last call.
-func (t *UDP) Freezes(dst []FreezeInfo) []FreezeInfo {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.fz.drain(dst)
-}
-
-// CorrelationLeader reports whether this end assigns shared incident
-// IDs (epoch comparison; the listener wins ties).
-func (t *UDP) CorrelationLeader() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return leader(t.epoch, t.peerEpoch, t.gotEpoch, t.listener)
-}
-
-// Latency returns the endpoint's latency summary.
-func (t *UDP) Latency() Latency {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lm.latency()
-}
-
-// LatencyHist returns the live latency histograms (µs).
-func (t *UDP) LatencyHist() (oneWay, jitter, rtt *telemetry.Histogram) {
-	return t.lm.oneWay, t.lm.jitter, t.lm.rtt
-}
-
-// reader is the receive goroutine: it validates, deduplicates and
-// copies datagrams into the pooled receive queue, answers keepalive
-// probes, and folds latency samples into the meter.
+// reader is the receive goroutine: it hands each datagram to the core
+// and answers keepalive probes straight to their source, which keeps
+// the exchange alive even before the return path is latched.
 func (t *UDP) reader() {
 	buf := make([]byte, 65536)
 	for {
 		n, addr, err := t.conn.ReadFromUDPAddrPort(buf)
-		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed {
-				return
-			}
-			continue
-		}
 		rxWall := time.Now().UnixNano()
 		h, payload, derr := DecodeDatagram(buf[:n])
 		t.mu.Lock()
@@ -311,103 +150,14 @@ func (t *UDP) reader() {
 			t.mu.Unlock()
 			return
 		}
-		if t.muted {
-			// The line is cut: what arrives anyway is lost in the dark
-			// window, invisible even to liveness accounting.
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		if derr != nil {
-			// A version-skewed peer fails here on every datagram and
-			// never marks the line alive — keepalive supervision reports
-			// it dead, RxBadVersion names the cause.
-			if derr == ErrBadVersion {
-				t.st.RxBadVersion++
-			}
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.rxCount++
-		t.alive = true
-		epochChanged := !t.gotEpoch || h.Epoch != t.peerEpoch
-		if epochChanged {
-			if t.gotEpoch {
-				// The peer restarted (or re-bound): resynchronise and
-				// count the reconnection.
-				t.st.Reconnects++
-			}
-			t.gotEpoch = true
-			t.peerEpoch = h.Epoch
-			t.peerSeq = 0
-		}
-		if t.listener && (!t.peer.IsValid() || epochChanged) {
-			// Latch (or re-latch) the return path.
-			t.peer = addr
-		}
-		t.lm.noteTick(h.Tick, t.tickNow)
-		switch h.Type {
-		case TypeKeepalive:
-			// Answer with the NTP triple: t1 echoed from the probe's
-			// wall stamp, t2 our receive clock, t3 our transmit clock.
-			// Replying straight to the source keeps the exchange alive
-			// even before the return path is latched.
-			if h.Wall != 0 {
-				reply := AppendHeader(t.replyBuf[:0], TypeKeepaliveReply, KeepaliveReplyLen,
-					t.epoch, t.seq, t.tickNow, 0)
-				reply = AppendKeepaliveReplyPayload(reply, h.Wall, rxWall, time.Now().UnixNano())
+		if err == nil {
+			t.src = addr
+			if reply := t.receive(h, payload, derr, rxWall); reply != nil {
 				t.conn.WriteToUDPAddrPort(reply, addr)
 			}
-			t.mu.Unlock()
-			continue
-		case TypeKeepaliveReply:
-			if t1, t2, t3, perr := DecodeKeepaliveReply(payload); perr == nil {
-				t.lm.noteReply(t1, t2, t3, rxWall)
-			}
-			t.mu.Unlock()
-			continue
-		case TypeFreeze:
-			if inc, trigTick, trigWall, reason, perr := DecodeFreeze(payload); perr == nil {
-				t.fz.note(FreezeInfo{Incident: inc, Reason: reason, Tick: trigTick, WallNs: trigWall})
-			}
-			t.mu.Unlock()
-			continue
 		}
-		if h.Seq <= t.peerSeq {
-			// Duplicate or reordered behind the delivery cursor: a
-			// stale chunk spliced into the HDLC stream would corrupt
-			// framing, so it is dropped (loss PPP already absorbs).
-			t.st.RxDropped++
-			t.mu.Unlock()
-			continue
-		}
-		t.peerSeq = h.Seq
-		t.lm.noteData(h.Wall, rxWall)
-		t.rq.push(t.rq.get(payload))
-		t.st.RxChunks++
-		t.st.RxBytes += uint64(len(payload))
 		t.mu.Unlock()
 	}
-}
-
-// Up reports dead-peer status: true once the peer has been heard from
-// and keepalive has not given up on it.
-func (t *UDP) Up() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.alive && !t.closed
-}
-
-// Stats returns a snapshot of the endpoint's counters.
-func (t *UDP) Stats() Stats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st
-	st.TxDropped += t.sq.dropped // write errors + queue overflow drops
-	st.QueueDepth = len(t.sq.bufs)
-	st.QueueHighWater = t.sq.highWater
-	return st
 }
 
 // Close shuts the socket down and stops the reader.

@@ -171,8 +171,13 @@ func DecodeKeepaliveReply(p []byte) (t1, t2, t3 int64, err error) {
 }
 
 // freezeReasonMax bounds the reason string carried in a TypeFreeze
-// payload; longer reasons are truncated on encode.
-const freezeReasonMax = 32
+// payload; longer reasons are truncated on encode. freezeFixedLen is
+// the payload before the reason: incident, tick, wall and the reason
+// length octet.
+const (
+	freezeReasonMax = 32
+	freezeFixedLen  = 25
+)
 
 // AppendFreezePayload appends the TypeFreeze payload: the shared
 // incident ID, the triggering end's virtual tick and wall clock at the
@@ -190,12 +195,12 @@ func AppendFreezePayload(dst []byte, incident uint64, trigTick, trigWall int64, 
 
 // DecodeFreeze parses a TypeFreeze payload.
 func DecodeFreeze(p []byte) (incident uint64, trigTick, trigWall int64, reason string, err error) {
-	if len(p) < 25 {
+	if len(p) < freezeFixedLen {
 		return 0, 0, 0, "", ErrShortHeader
 	}
 	n := int(p[24])
-	if n > freezeReasonMax || len(p) < 25+n {
+	if n > freezeReasonMax || len(p) < freezeFixedLen+n {
 		return 0, 0, 0, "", ErrBadLength
 	}
-	return be64(p), int64(be64(p[8:])), int64(be64(p[16:])), string(p[25 : 25+n]), nil
+	return be64(p), int64(be64(p[8:])), int64(be64(p[16:])), string(p[freezeFixedLen : freezeFixedLen+n]), nil
 }

@@ -26,6 +26,12 @@ echo "== go test -race (telemetry concurrency gate) =="
 # full suite runs.
 go test -race -count 2 ./internal/telemetry
 
+echo "== go test -race (transport concurrency gate) =="
+# The endpoint core's state is shared by the UDP reader, the TCP
+# reader, writer and dialer goroutines and the owning tick loop; run
+# the transport package twice under the race detector on its own.
+go test -race -count 2 ./internal/transport
+
 echo "== go test -race =="
 go test -race ./...
 
