@@ -227,12 +227,12 @@ func TestChaosSoakDualLineProtection(t *testing.T) {
 	// service-affecting windows are disjoint across the two lines:
 	// whenever one line is dark the other is clean.
 	var w, pr fault.Script
-	w.LOS(50*fb, 70*fb)            // working cut #1 (frames 50-119)
-	w.Insert(260*fb+9, 0x55)       // byte slip: working loses alignment
-	w.LOS(300*fb, 40*fb)           // working cut #2 (frames 300-339)
+	w.LOS(50*fb, 70*fb)              // working cut #1 (frames 50-119)
+	w.Insert(260*fb+9, 0x55)         // byte slip: working loses alignment
+	w.LOS(300*fb, 40*fb)             // working cut #2 (frames 300-339)
 	pr.Corrupt(150*fb+100, 64, 0xFF) // standby line parity burst
-	pr.LOS(180*fb, 60*fb)          // protect cut while working is clean
-	pr.LOS(400*fb, 50*fb)          // protect cut #2, selector on working
+	pr.LOS(180*fb, 60*fb)            // protect cut while working is clean
+	pr.LOS(400*fb, 50*fb)            // protect cut #2, selector on working
 	pair := fault.NewPair(w, pr)
 	p.impairW = func(f []byte) []byte { return pair.Apply(0, f) }
 	p.impairP = func(f []byte) []byte { return pair.Apply(1, f) }

@@ -48,11 +48,11 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -218,15 +218,11 @@ func run(w io.Writer, url string, interval time.Duration, count int, events, slo
 // rates and, with exemplars, the concrete frames behind the latency
 // histogram's slow buckets.
 func dumpSLO(w io.Writer, base string, exemplars bool) error {
-	resp, err := http.Get(base + "/slo")
+	body, err := obsnet.Get(base + "/slo")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/slo: HTTP %d", resp.StatusCode)
-	}
-	doc, err := flight.ReadBoard(resp.Body)
+	doc, err := flight.ReadBoard(bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
@@ -343,27 +339,19 @@ func writeTransport(w io.Writer, cur []telemetry.Series) {
 
 // scrape fetches and parses one Prometheus exposition.
 func scrape(url string) ([]telemetry.Series, error) {
-	resp, err := http.Get(url)
+	body, err := obsnet.Get(url)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
-	}
-	return telemetry.ParseText(resp.Body)
+	return telemetry.ParseText(bytes.NewReader(body))
 }
 
 func dumpTrace(w io.Writer, base string) error {
-	resp, err := http.Get(base + "/trace")
+	body, err := obsnet.Get(base + "/trace")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("/trace: HTTP %d", resp.StatusCode)
-	}
-	evs, err := telemetry.ReadEvents(resp.Body)
+	evs, err := telemetry.ReadEvents(bytes.NewReader(body))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -273,5 +274,48 @@ func TestTransportTable(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no transport_* series") {
 		t.Errorf("empty run output: %q", out.String())
+	}
+}
+
+// TestStalledEndpointErrorsInsteadOfHanging points every p5stat fetch
+// at a server that accepts the request and never answers: each must
+// come back with an error once the scrape client's timeout expires,
+// rather than blocking p5stat forever.
+func TestStalledEndpointErrorsInsteadOfHanging(t *testing.T) {
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	fetches := map[string]func() error{
+		"scrape": func() error { _, err := scrape(srv.URL + "/metrics"); return err },
+		"slo":    func() error { return dumpSLO(&bytes.Buffer{}, srv.URL, true) },
+		"trace":  func() error { return dumpTrace(&bytes.Buffer{}, srv.URL) },
+	}
+	errs := make(chan error, len(fetches))
+	for name, fetch := range fetches {
+		go func(name string, fetch func() error) {
+			if err := fetch(); err == nil {
+				errs <- fmt.Errorf("%s: stalled endpoint returned no error", name)
+				return
+			}
+			errs <- nil
+		}(name, fetch)
+	}
+	deadline := time.After(30 * time.Second)
+	for range fetches {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-deadline:
+			t.Fatal("p5stat fetch still blocked on a stalled endpoint after 30s")
+		}
 	}
 }

@@ -60,24 +60,26 @@ func TestEngineProfileStageAccounting(t *testing.T) {
 	}
 }
 
-// TestEngineProfileDisarmedZeroSamples is the hot-path guard: with the
-// collector disarmed, running the engine must take zero clock samples
-// — the whole observatory reduces to a per-stage bool check. The
+// TestEngineProfileDisarmedZeroSamples is the hot-path guard: an
+// engine that was never armed holds nil shard profiles — the only
+// disarmed state — and runs without reading a profile clock; arming
+// must take no sample until the next Run, and then take samples. The
 // injected clock counts its own calls to prove it.
 func TestEngineProfileDisarmedZeroSamples(t *testing.T) {
 	var calls atomic.Int64
 	clock := func() int64 { return calls.Add(1) }
 	e := NewEngine(EngineConfig{Links: 2, Shards: 2, PayloadSize: 128, Batch: 2})
 	defer e.Close()
-	col := e.ArmProfile(nil, "guard", prof.Config{SampleShift: -1, Clock: clock})
-	col.SetArmed(false)
 	e.Run(128)
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("disarmed engine took %d clock samples, want 0", n)
+	if e.Profile() != nil {
+		t.Fatal("unarmed engine has a profile collector")
 	}
-	// Sanity: re-arming takes samples again, so the zero above means
-	// "disarmed", not "disconnected".
-	col.SetArmed(true)
+	e.ArmProfile(nil, "guard", prof.Config{SampleShift: -1, Clock: clock})
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("arming took %d clock samples, want 0", n)
+	}
+	// Sanity: the armed engine takes samples, so the zero above means
+	// "not yet run", not "disconnected".
 	e.Run(8)
 	if calls.Load() == 0 {
 		t.Fatal("armed engine took no clock samples — the guard test is vacuous")

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/flight"
+	"repro/internal/prof"
 	"repro/internal/sonet"
 	"repro/internal/telemetry"
 )
@@ -198,11 +199,11 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 			t.Errorf("exemplar latency %d < 0", ex.Value)
 		}
 	}
-	if ra.StageHistogram(flight.StageEncode).Count() == 0 {
+	if ra.StageHistogram(prof.StageEncode).Count() == 0 {
 		t.Error("encode stage histogram sampled nothing")
 	}
-	if rb.StageHistogram(flight.StageFCS).Count() == 0 {
-		t.Error("fcs stage histogram sampled nothing")
+	if rb.StageHistogram(prof.StageTokenize).Count() == 0 {
+		t.Error("tokenize stage histogram sampled nothing")
 	}
 
 	// SLO evaluator: the outage loss (percent-scale against a 0.1%

@@ -62,7 +62,7 @@ func (h pipeHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h pipeHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h pipeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *pipeHeap) Push(x interface{}) { *h = append(*h, x.(pipeItem)) }
 func (h *pipeHeap) Pop() interface{} {
 	old := *h

@@ -8,10 +8,13 @@
 //     end-to-end latency histogram (virtual ticks) with *exemplars* —
 //     the concrete frame ID, arrival time and trace-ring sequence
 //     behind each bucket, so a p99 spike resolves to a real frame;
-//   - sampled per-stage wall-clock stamps (encode, tokenize, FCS check,
-//     VJ, deliver) at 1-in-2^SampleShift frames, bounding overhead;
-//   - a black-box recorder: bounded rings of recent raw HDLC wire
-//     bytes, structured events and register snapshots, dumped
+//   - sampled per-stage wall-clock stamps at 1 span in 8 per stage,
+//     bounding overhead, on prof's stage vocabulary (prof.Stage):
+//     encode spans one datagram's SendIPv4/SendIPv4Batch, tokenize one
+//     whole Link.Input call — the spans the engine profile charges to
+//     the same names;
+//   - a black-box recorder: bounded rings of recent received raw HDLC
+//     wire bytes, structured events and register snapshots, dumped
 //     atomically to a self-describing capture file (capture.go) on
 //     defect escalation, APS switch, FCS-error burst, supervisor
 //     restart or an explicit OAM register write;
@@ -19,13 +22,12 @@
 //     rolling error budgets and burn-rate gauges.
 //
 // Steady-state cost is deliberately asymmetric: the transmit path pays
-// one ring store and one atomic add per frame (no wall-clock read, no
-// wire copy unless Config.TapTx is set), keeping the PR-4 zero-alloc
-// encode benchmark within its overhead gate; the receive path adds the
-// wire-ring memcpy, the FIFO match and the sampled stamps. Nothing on
-// either path allocates.
+// one ring store, one atomic add and the sampled stamp per frame (no
+// wire copy), keeping the zero-alloc encode benchmark within its
+// overhead gate; the receive path adds the wire-ring memcpy and the
+// FIFO match. Nothing on either path allocates.
 //
-// Ownership follows the Link rules (DESIGN.md §8): Depart/Arrive/Tap*
+// Ownership follows the Link rules (DESIGN.md §8): Depart/Arrive/TapRx
 // and Trigger must be called from the goroutine that owns the link (or
 // while the simulation is quiesced); the histograms and counters behind
 // them are atomic and the exemplar store is mutex-protected, so HTTP
@@ -38,38 +40,15 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/prof"
 	"repro/internal/telemetry"
 )
 
-// Stage identifies one stamped segment of the frame path.
-type Stage uint8
+// stages are the prof stages a link stamps into its recorder.
+var stages = []prof.Stage{prof.StageEncode, prof.StageTokenize}
 
-// The stamped stages, in pipeline order.
-const (
-	// StageEncode spans ppp.AppendFrame on the transmit side.
-	StageEncode Stage = iota
-	// StageTokenize spans hdlc.Tokenizer.Feed for one input chunk.
-	StageTokenize
-	// StageFCS spans ppp.DecodeVerifiedBodyInto: the PPP header parse
-	// alone, since the tokenizer already checked the FCS. The label is
-	// historical.
-	StageFCS
-	// StageVJ spans Van Jacobson decompression, when active.
-	StageVJ
-	// StageDeliver spans the copy into the receive datagram arena.
-	StageDeliver
-
-	numStages
-)
-
-var stageNames = [numStages]string{"encode", "tokenize", "fcs", "vj", "deliver"}
-
-func (s Stage) String() string {
-	if int(s) < len(stageNames) {
-		return stageNames[s]
-	}
-	return "unknown"
-}
+// stageSampleShift picks 1 in 2^3 spans of each stamped stage.
+const stageSampleShift = 3
 
 // E2EBounds are the end-to-end latency histogram bounds, in virtual
 // ticks (1 tick = one 125 µs frame slot in the SONET-paced sims).
@@ -91,19 +70,12 @@ type Config struct {
 	// rounded up to a power of two). When it overflows the oldest
 	// departure is counted lost.
 	PipeDepth int
-	// SampleShift selects 1-in-2^SampleShift frames for wall-clock
-	// stage stamping (default 3 → every 8th frame).
-	SampleShift uint
 	// Horizon is the age in ticks after which an unmatched departure
 	// is declared lost (default 1024).
 	Horizon int64
 	// SlowTicks is the end-to-end latency at or above which an arrival
 	// emits a slow-frame event into the black box (default 32).
 	SlowTicks int64
-	// TapTx also records transmitted wire octets. Off by default: the
-	// extra memcpy is the one recorder cost the steady-state encode
-	// overhead gate would notice.
-	TapTx bool
 	// Dir, when non-empty, is the directory capture files are written
 	// to (one file per trigger). Empty keeps captures in memory only.
 	Dir string
@@ -129,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PipeDepth <= 0 {
 		c.PipeDepth = 1024
-	}
-	if c.SampleShift == 0 {
-		c.SampleShift = 3
 	}
 	if c.Horizon <= 0 {
 		c.Horizon = 1024
@@ -236,23 +205,24 @@ type Recorder struct {
 	tail   uint64 // next free slot
 	nextID uint64
 
-	e2e     *telemetry.Histogram
-	stage   [numStages]*telemetry.Histogram
+	e2e *telemetry.Histogram
+	// One sampler per stamped stage: with a shared one, a link whose
+	// encode and tokenize spans per step summed to a multiple of 8
+	// would pick the same span every time and never the other stage.
+	stamp   [prof.NumStages]prof.Sampler
+	stage   [prof.NumStages]*telemetry.Histogram // nil for stages not stamped
 	tracked *telemetry.Counter
 	lost    *telemetry.Counter
 	capsC   *telemetry.Counter
 	wireRx  *telemetry.Counter
-	wireTx  *telemetry.Counter
 
 	exMu sync.Mutex
 	ex   []Exemplar // one slot per e2e bucket, zero ID = empty
 
-	rx, tx byteRing
+	rx     byteRing
 	events *telemetry.Tracer
 
-	now         int64 // latest virtual time seen (SetNow)
-	sampleCount uint64
-	sampleMask  uint64
+	now int64 // latest virtual time seen (SetNow)
 
 	capMu    sync.Mutex
 	recent   []*Capture
@@ -286,27 +256,23 @@ func NewRecorder(reg *telemetry.Registry, name string, cfg Config) *Recorder {
 	depth := pow2(cfg.PipeDepth)
 	lk := telemetry.L("link", name)
 	r := &Recorder{
-		name:       name,
-		cfg:        cfg,
-		ring:       make([]departure, depth),
-		mask:       uint64(depth - 1),
-		sampleMask: (1 << cfg.SampleShift) - 1,
-		ex:         make([]Exemplar, len(E2EBounds)+1),
-		events:     telemetry.NewTracer(cfg.Events),
-		byReason:   make(map[string]uint64),
+		name:     name,
+		cfg:      cfg,
+		ring:     make([]departure, depth),
+		mask:     uint64(depth - 1),
+		ex:       make([]Exemplar, len(E2EBounds)+1),
+		events:   telemetry.NewTracer(cfg.Events),
+		byReason: make(map[string]uint64),
 		e2e: reg.Histogram("flight_e2e_latency_ticks",
 			"end-to-end frame latency, departure to delivery, virtual ticks", E2EBounds, lk),
 		tracked: reg.Counter("flight_frames_tracked_total", "frames tagged at departure", lk),
 		lost:    reg.Counter("flight_frames_lost_total", "tagged frames never delivered (horizon or overflow)", lk),
 		capsC:   reg.Counter("flight_captures_total", "black-box captures triggered", lk),
 		wireRx:  reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "rx")),
-		wireTx:  reg.Counter("flight_wire_octets_total", "raw wire octets through the black box", lk, telemetry.L("dir", "tx")),
 	}
 	r.rx.buf = make([]byte, pow2(cfg.WireBytes))
-	if cfg.TapTx {
-		r.tx.buf = make([]byte, pow2(cfg.WireBytes))
-	}
-	for s := Stage(0); s < numStages; s++ {
+	for _, s := range stages {
+		r.stamp[s] = prof.NewSampler(stageSampleShift, cfg.Clock)
 		r.stage[s] = reg.Histogram("flight_stage_latency_ns",
 			"sampled per-stage frame latency, wall-clock ns", StageBounds, lk, telemetry.L("stage", s.String()))
 	}
@@ -437,40 +403,27 @@ func (r *Recorder) Exemplar(v int64) (Exemplar, bool) {
 	return e, e.ID != 0
 }
 
-// Sampled reports whether the current frame is selected for wall-clock
-// stage stamping (one in 2^SampleShift).
-func (r *Recorder) Sampled() bool {
-	r.sampleCount++
-	return r.sampleCount&r.sampleMask == 0
-}
+// Begin opens one span of stage s (encode or tokenize); 1 span in 8
+// of each stage is timed.
+func (r *Recorder) Begin(s prof.Stage) { r.stamp[s].Begin() }
 
-// Clock returns the wall-clock in nanoseconds for stage stamping.
-func (r *Recorder) Clock() int64 { return r.cfg.Clock() }
-
-// ObserveStage records one sampled stage duration in nanoseconds.
-func (r *Recorder) ObserveStage(s Stage, ns int64) {
-	if ns < 0 {
-		ns = 0
+// Stamp closes the span of stage s that Begin opened and, when it was
+// picked, charges its wall-clock ns to the stage histogram.
+func (r *Recorder) Stamp(s prof.Stage) {
+	if ns, ok := r.stamp[s].Lap(); ok {
+		r.stage[s].Observe(ns)
+		r.stamp[s].End()
 	}
-	r.stage[s].Observe(ns)
 }
 
-// StageHistogram exposes a stage's histogram (for boards and tests).
-func (r *Recorder) StageHistogram(s Stage) *telemetry.Histogram { return r.stage[s] }
+// StageHistogram exposes a stage's histogram (for boards and tests);
+// nil for a stage the recorder does not stamp.
+func (r *Recorder) StageHistogram(s prof.Stage) *telemetry.Histogram { return r.stage[s] }
 
 // TapRx records received raw wire octets into the black box.
 func (r *Recorder) TapRx(p []byte) {
 	r.rx.write(p)
 	r.wireRx.Add(uint64(len(p)))
-}
-
-// TapTx records transmitted raw wire octets, when Config.TapTx armed
-// the TX ring; otherwise it only counts.
-func (r *Recorder) TapTx(p []byte) {
-	if r.tx.buf != nil {
-		r.tx.write(p)
-	}
-	r.wireTx.Add(uint64(len(p)))
 }
 
 // Event records one structured event into the black box ring.
@@ -500,7 +453,6 @@ func (r *Recorder) Trigger(reason string) *Capture {
 		WallNs: r.cfg.Clock(),
 	}
 	c.RxBase, c.RxWire = r.rx.snapshot()
-	c.TxBase, c.TxWire = r.tx.snapshot()
 	c.Events = r.events.Events()
 	if r.RegDump != nil {
 		c.Regs = r.RegDump(c.Regs)

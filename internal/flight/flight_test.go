@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/prof"
 	"repro/internal/telemetry"
 )
 
@@ -129,6 +130,43 @@ func TestByteRingInvariant(t *testing.T) {
 	base, data = r.snapshot()
 	if base != 24 || string(data) != "xxxxxxYZ" {
 		t.Fatalf("after oversize base=%d data=%q", base, data)
+	}
+}
+
+// TestStageSeriesSpeakProfVocabulary pins the recorder's stage
+// histograms to the prof names it stamps — encode and tokenize only —
+// and the sampling to 1 span in 8 per stage — interleaved encode and
+// tokenize spans must not alias onto one stage — each span costing the
+// two clock reads around it.
+func TestStageSeriesSpeakProfVocabulary(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	r := NewRecorder(reg, "a", testCfg())
+	for i := 0; i < 16; i++ {
+		r.Begin(prof.StageEncode)
+		r.Stamp(prof.StageEncode)
+		r.Begin(prof.StageTokenize)
+		r.Stamp(prof.StageTokenize)
+	}
+	snap := reg.Snapshot("t")
+	for _, st := range []string{"encode", "tokenize"} {
+		series := `flight_stage_latency_ns_count{link="a",stage="` + st + `"}`
+		if v, ok := snap.Get(series); !ok || v != 2 {
+			t.Errorf("%s = %v (ok=%v), want 2", series, v, ok)
+		}
+		if v, _ := snap.Get(`flight_stage_latency_ns_sum{link="a",stage="` + st + `"}`); v != 2000 {
+			t.Errorf("%s sum = %v ns, want 2000 (one 1000 ns clock step per span)", st, v)
+		}
+	}
+	for _, gone := range []string{
+		`flight_stage_latency_ns_count{link="a",stage="fcs"}`,
+		`flight_wire_octets_total{dir="tx",link="a"}`,
+	} {
+		if _, ok := snap.Get(gone); ok {
+			t.Errorf("series %s still exported", gone)
+		}
+	}
+	if r.StageHistogram(prof.StageDrain) != nil {
+		t.Error("recorder exposes a histogram for a stage it never stamps")
 	}
 }
 

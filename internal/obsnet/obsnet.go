@@ -49,7 +49,11 @@ func baseURL(addr string) string {
 	return "http://" + addr
 }
 
-func get(url string) ([]byte, error) {
+// Get fetches one document with the scrape client: a 5 s timeout, the
+// body capped at 8 MB, and any non-200 status an error. Every HTTP
+// read of a telemetry endpoint goes through it, so a stalled endpoint
+// costs a bounded wait, never a hang.
+func Get(url string) ([]byte, error) {
 	resp, err := client.Get(url)
 	if err != nil {
 		return nil, err
@@ -73,7 +77,7 @@ func Scrape(addr string) Instance {
 	inst := Instance{Addr: addr}
 	base := baseURL(addr)
 
-	body, err := get(base + "/metrics")
+	body, err := Get(base + "/metrics")
 	if err != nil {
 		inst.Err = err
 		return inst
@@ -85,7 +89,7 @@ func Scrape(addr string) Instance {
 	}
 	inst.Series = telemetry.InjectLabel(series, "instance", addr)
 
-	if body, err = get(base + "/status"); err != nil {
+	if body, err = Get(base + "/status"); err != nil {
 		inst.Err = err
 		return inst
 	}

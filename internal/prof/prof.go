@@ -11,13 +11,17 @@
 // the repo's probes — plain fields written by exactly one goroutine
 // (the shard worker), zero allocations after arming, telemetry mirrors
 // refreshed only at the Run barrier where the engine is quiescent —
-// plus one of its own: when disarmed, the hot path takes zero clock
-// samples (a nil/bool check is all that remains, and the verify gate
-// prices the armed case at ≤2% of the disarmed engine bench).
+// plus one of its own: disarmed means nil — a shard without a profile
+// holds a nil *ShardProfile, and every stamp is then a nil check that
+// reads no clock (the verify gate prices the armed case against the
+// disarmed engine bench).
 //
-// Sampling: 1 in 2^SampleShift steps is stamped with monotonic
-// timestamps around every stage; a sampled step costs one clock read
-// per stage boundary, an unsampled step costs one counter increment.
+// The Stage set is the repo's one stage vocabulary: the flight
+// recorder (internal/flight) stamps its per-frame stage histograms on
+// the same names and the same spans. Sampling is one Sampler type for
+// both: 1 in 2^SampleShift steps is stamped with wall-clock timestamps
+// around every stage; a sampled step costs one clock read per stage
+// boundary, an unsampled step costs one counter increment.
 // Per-shard results accumulate in fixed arrays plus a power-of-two
 // ring of recent whole-step costs, all single-writer — the "lock-free"
 // here is the strongest kind: no shared writes at all, published by
@@ -38,7 +42,10 @@ import (
 // move), tokenize (RX delineation, destuff, FCS, VJ and delivery into
 // the receive queue), drain (receive-queue copy-out), deliver (payload
 // accounting back in the caller), and barrier (the Run join, accounted
-// by the Collector rather than stamped in-loop).
+// by the Collector rather than stamped in-loop). Each name means one
+// span wherever it appears: the flight recorder's encode stage is the
+// same SendIPv4/SendIPv4Batch span per datagram, and its tokenize
+// stage is the whole of one Link.Input call.
 type Stage uint8
 
 // The stages, in worker-loop order.
@@ -84,9 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.SampleShift == 0 {
 		c.SampleShift = 5
 	}
-	if c.SampleShift < 0 {
-		c.SampleShift = 0
-	}
 	if c.RingSize <= 0 {
 		c.RingSize = 256
 	}
@@ -105,21 +109,74 @@ func pow2(n int) int {
 	return p
 }
 
+// Sampler picks 1 in 2^shift units (engine steps, link frames) for
+// wall-clock stamping and times consecutive laps inside a picked unit.
+// Each Lap reads the clock once and that read starts the next lap, so
+// a unit with k laps costs k+1 clock reads; an unpicked unit costs one
+// counter increment. Units do not nest. ShardProfile embeds one and
+// the flight recorder holds one per stamped stage, so the two
+// observatories sample and stamp alike.
+type Sampler struct {
+	clock    func() int64
+	mask     uint64 // pick the unit when (units-1)&mask == 0
+	units    uint64 // units opened
+	sampling bool   // the current unit was picked
+	start    int64  // clock at Begin of the picked unit
+	last     int64  // clock at the previous lap
+}
+
+// NewSampler builds a sampler picking 1 in 2^shift units (every unit
+// when shift <= 0) and reading clock for stamps.
+func NewSampler(shift int, clock func() int64) Sampler {
+	if shift < 0 {
+		shift = 0
+	}
+	return Sampler{clock: clock, mask: 1<<uint(shift) - 1}
+}
+
+// Begin opens the next unit; only a picked unit reads the clock.
+func (s *Sampler) Begin() {
+	s.units++
+	s.sampling = (s.units-1)&s.mask == 0
+	if s.sampling {
+		s.start = s.clock()
+		s.last = s.start
+	}
+}
+
+// Lap returns the ns since the previous Lap (or Begin) of a picked
+// unit, never negative; ok is false, and no clock is read, otherwise.
+func (s *Sampler) Lap() (ns int64, ok bool) {
+	if !s.sampling {
+		return 0, false
+	}
+	now := s.clock()
+	ns, s.last = now-s.last, now
+	if ns < 0 { // the wall clock stepped back
+		ns = 0
+	}
+	return ns, true
+}
+
+// End closes the unit and returns its whole cost, Begin to the last
+// Lap, reusing that lap's clock read; ok is false for an unpicked unit.
+func (s *Sampler) End() (ns int64, ok bool) {
+	if !s.sampling {
+		return 0, false
+	}
+	s.sampling = false
+	return s.last - s.start, true
+}
+
 // ShardProfile is one shard worker's private accounting. All methods
 // except the Collector's are called only by the owning worker between
 // StepStart/StepEnd pairs; the Run barrier publishes the fields to the
-// Collector. The zero value is unusable — obtain one from a Collector.
+// Collector. A nil *ShardProfile is the disarmed state: every method
+// is a no-op and reads no clock. Obtain an armed one from a Collector.
 type ShardProfile struct {
-	clock func() int64
-	mask  uint64 // sample when steps&mask == 0
-	armed bool
+	Sampler // one unit per engine step
 
-	steps    uint64 // total steps seen
-	sampled  uint64 // steps that were stamped
-	sampling bool   // current step is being stamped
-
-	stepStart int64 // clock at StepStart of the sampled step
-	last      int64 // clock at the previous stamp
+	sampled uint64 // steps that were stamped
 
 	ns    [numStages]uint64 // accumulated ns per stage (sampled steps)
 	count [numStages]uint64 // stamps per stage
@@ -137,61 +194,50 @@ type ShardProfile struct {
 	barrierJoins uint64
 }
 
-// StepStart opens one engine step. Receivers may be nil (disarmed
-// shard): every method is a no-op then.
+// StepStart opens one engine step.
 func (p *ShardProfile) StepStart() {
-	if p == nil || !p.armed {
-		return
+	if p != nil {
+		p.Begin()
 	}
-	p.steps++
-	if (p.steps-1)&p.mask != 0 {
-		p.sampling = false
-		return
-	}
-	p.sampling = true
-	p.stepStart = p.clock()
-	p.last = p.stepStart
 }
 
 // Stamp charges the time since the previous stamp (or StepStart) to
 // stage s. Multiple stamps per stage per step accumulate.
 func (p *ShardProfile) Stamp(s Stage) {
-	if p == nil || !p.sampling {
+	if p == nil {
 		return
 	}
-	now := p.clock()
-	p.ns[s] += uint64(now - p.last)
-	p.count[s]++
-	p.last = now
+	if ns, ok := p.Lap(); ok {
+		p.ns[s] += uint64(ns)
+		p.count[s]++
+	}
 }
 
 // StepEnd closes the step, recording the whole-step cost into the
-// ring. It reuses the final stamp's clock value — closing a sampled
-// step costs no extra clock read.
+// ring. Closing a sampled step costs no extra clock read.
 func (p *ShardProfile) StepEnd() {
-	if p == nil || !p.sampling {
+	if p == nil {
 		return
 	}
-	p.sampling = false
-	p.sampled++
-	p.ring[p.ringN&uint64(len(p.ring)-1)] = p.last - p.stepStart
-	p.ringN++
+	if ns, ok := p.End(); ok {
+		p.sampled++
+		p.ring[p.ringN&uint64(len(p.ring)-1)] = ns
+		p.ringN++
+	}
 }
 
 // BatchStart marks the worker entering a Run batch.
 func (p *ShardProfile) BatchStart() {
-	if p == nil || !p.armed {
-		return
+	if p != nil {
+		p.batchStart = p.clock()
 	}
-	p.batchStart = p.clock()
 }
 
 // BatchEnd marks the worker leaving a Run batch (just before wg.Done).
 func (p *ShardProfile) BatchEnd() {
-	if p == nil || !p.armed {
-		return
+	if p != nil {
+		p.batchEnd = p.clock()
 	}
-	p.batchEnd = p.clock()
 }
 
 // StageNs returns the accumulated sampled ns charged to stage s.
@@ -210,9 +256,9 @@ func (p *ShardProfile) StageCount(s Stage) uint64 {
 	return p.count[s]
 }
 
-// Steps returns total steps seen; Sampled the stamped subset.
-func (p *ShardProfile) Steps() uint64   { return p.steps }
-func (p *ShardProfile) Sampled() uint64 { return p.sampled }
+// Steps returns total steps seen; SampledSteps the stamped subset.
+func (p *ShardProfile) Steps() uint64        { return p.units }
+func (p *ShardProfile) SampledSteps() uint64 { return p.sampled }
 
 // RecentStepNs returns the retained ring of sampled whole-step costs,
 // oldest first. Call only while the shard is quiescent.
@@ -233,7 +279,6 @@ func (p *ShardProfile) RecentStepNs() []int64 {
 // telemetry mirrors. Construct with New, hand Shard(i) to each worker,
 // call Join from the driver after every Run barrier.
 type Collector struct {
-	cfg    Config
 	clock  func() int64
 	shards []*ShardProfile
 
@@ -258,18 +303,15 @@ var stepBounds = []int64{
 
 // New builds a Collector for nShards shard workers. reg may be nil for
 // an unexposed collector (tests, tools); name labels the series
-// (engine="name"). The collector starts armed.
+// (engine="name").
 func New(reg *telemetry.Registry, name string, nShards int, cfg Config) *Collector {
 	cfg = cfg.withDefaults()
-	c := &Collector{cfg: cfg, clock: cfg.Clock}
+	c := &Collector{clock: cfg.Clock}
 	c.shards = make([]*ShardProfile, nShards)
-	mask := uint64(1)<<uint(cfg.SampleShift) - 1
 	for i := range c.shards {
 		c.shards[i] = &ShardProfile{
-			clock: cfg.Clock,
-			mask:  mask,
-			armed: true,
-			ring:  make([]int64, cfg.RingSize),
+			Sampler: NewSampler(cfg.SampleShift, cfg.Clock),
+			ring:    make([]int64, cfg.RingSize),
 		}
 	}
 	c.histSynced = make([]uint64, nShards)
@@ -313,21 +355,6 @@ func (c *Collector) Shard(i int) *ShardProfile { return c.shards[i] }
 // Shards returns the shard count.
 func (c *Collector) Shards() int { return len(c.shards) }
 
-// SetArmed arms or disarms every shard profile. Call only while the
-// engine is quiescent (between Runs). Disarmed, the hot path takes
-// zero clock samples — StepStart/Stamp/Batch* reduce to a bool check —
-// and Join is a no-op too.
-func (c *Collector) SetArmed(armed bool) {
-	for _, p := range c.shards {
-		p.armed = armed
-	}
-}
-
-// Armed reports whether the collector is currently armed.
-func (c *Collector) Armed() bool {
-	return len(c.shards) > 0 && c.shards[0].armed
-}
-
 // Join settles one Run batch: it charges each shard's wait between its
 // own finish and the global join to the barrier stage, recomputes the
 // imbalance gauge from the batch busy times, and refreshes the
@@ -335,9 +362,6 @@ func (c *Collector) Armed() bool {
 // barrier (wg.Wait) — the barrier's happens-before edge makes every
 // shard field safe to read here.
 func (c *Collector) Join() {
-	if !c.Armed() {
-		return
-	}
 	join := c.clock()
 	var minBusy, maxBusy int64 = -1, 0
 	for _, p := range c.shards {
@@ -414,7 +438,7 @@ type Summary struct {
 func (c *Collector) Summary() Summary {
 	sum := Summary{Shards: len(c.shards), ImbalancePerMille: c.lastImbalance}
 	for _, p := range c.shards {
-		sum.Steps += p.steps
+		sum.Steps += p.units
 		sum.Sampled += p.sampled
 		for s := Stage(0); s < StageBarrier; s++ {
 			sum.StageNs[s] += p.ns[s]

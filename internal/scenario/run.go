@@ -45,9 +45,9 @@ type Failure struct {
 
 // CircuitReport is the measured behaviour of one circuit.
 type CircuitReport struct {
-	Name                string
-	Sent, Received      int
-	Corrupted, Lost     int
+	Name                 string
+	Sent, Received       int
+	Corrupted, Lost      int
 	SwitchesA, SwitchesB uint64
 	FailoverA, FailoverB int64 // outage healed by the last switch, per end
 	RenegA, RenegB       int   // LCP Opened→down edges after bring-up
@@ -102,9 +102,9 @@ type endpoint struct {
 	reneg   int
 
 	// Verification state for the traffic arriving here.
-	expect map[uint32][]byte // seq -> expected payload
-	seq    uint32            // next seq this end will send
-	recv   int
+	expect  map[uint32][]byte // seq -> expected payload
+	seq     uint32            // next seq this end will send
+	recv    int
 	corrupt int
 	sent    int
 }

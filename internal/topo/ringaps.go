@@ -51,7 +51,7 @@ type relayState struct {
 
 // K2 path/status encoding.
 const (
-	k2LongPath = 0x08 // bit 3: request travelled the long path
+	k2LongPath        = 0x08 // bit 3: request travelled the long path
 	k2BridgedSwitched = 0x02
 )
 

@@ -33,10 +33,10 @@ func (p *pattern) fill(n int) []byte {
 // out-of-alphabet corruption, and sequence breaks (positions where the
 // payload does not continue the cyclic counter).
 type analysis struct {
-	payload          []byte
-	fill, ais, junk  int
-	breaks           int
-	sinceBreak       int // payload octets since the last break
+	payload         []byte
+	fill, ais, junk int
+	breaks          int
+	sinceBreak      int // payload octets since the last break
 }
 
 func analyse(stream []byte) *analysis {

@@ -3,13 +3,13 @@ package gigapos
 import (
 	"errors"
 
-	"repro/internal/flight"
 	"repro/internal/hdlc"
 	"repro/internal/ipcp"
 	"repro/internal/lcp"
 	"repro/internal/lqm"
 	"repro/internal/netsim"
 	"repro/internal/ppp"
+	"repro/internal/prof"
 	"repro/internal/reliable"
 	"repro/internal/vj"
 )
@@ -433,17 +433,11 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 		f := ppp.Frame{Protocol: ppp.ProtoIPv4, Payload: d}
 		if fl != nil {
 			// Tag the departure; the wall clock is read only for the
-			// 1-in-2^SampleShift frames that stamp the encode stage.
-			var t0 int64
-			sampled := fl.rec.Sampled()
-			if sampled {
-				t0 = fl.rec.Clock()
-			}
+			// sampled frames that stamp the encode stage.
+			fl.rec.Begin(prof.StageEncode)
 			l.out = ppp.AppendFrame(l.out, &f, cfg, true)
 			fl.rec.Depart(l.now)
-			if sampled {
-				fl.rec.ObserveStage(flight.StageEncode, fl.rec.Clock()-t0)
-			}
+			fl.rec.Stamp(prof.StageEncode)
 			continue
 		}
 		l.out = ppp.AppendFrame(l.out, &f, cfg, true)
@@ -457,17 +451,11 @@ func (l *Link) SendIPv4Batch(datagrams [][]byte) (int, error) {
 // the encode stage is stamped.
 func (l *Link) SendIPv4(datagram []byte) error {
 	if fl := l.fl; fl != nil {
-		var t0 int64
-		sampled := fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
+		fl.rec.Begin(prof.StageEncode)
 		err := l.sendIPv4(datagram)
 		if err == nil {
 			fl.rec.Depart(l.now)
-			if sampled {
-				fl.rec.ObserveStage(flight.StageEncode, fl.rec.Clock()-t0)
-			}
+			fl.rec.Stamp(prof.StageEncode)
 		}
 		return err
 	}
@@ -513,22 +501,14 @@ func (l *Link) HasOutput() bool { return len(l.out) > 0 }
 // and queued datagram payloads are copies — the caller may recycle the
 // buffer immediately.
 func (l *Link) Input(stream []byte) {
-	if fl := l.fl; fl != nil {
-		// Black box: retain the raw wire octets, and stamp the
-		// tokenize stage for sampled chunks.
+	fl := l.fl
+	if fl != nil {
+		// The tokenize stage spans the whole call, as in the engine
+		// profile; the black box retains the raw wire octets.
+		fl.rec.Begin(prof.StageTokenize)
 		fl.rec.TapRx(stream)
-		var t0 int64
-		sampled := fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
-		l.toks = l.tk.Feed(l.toks[:0], stream)
-		if sampled {
-			fl.rec.ObserveStage(flight.StageTokenize, fl.rec.Clock()-t0)
-		}
-	} else {
-		l.toks = l.tk.Feed(l.toks[:0], stream)
 	}
+	l.toks = l.tk.Feed(l.toks[:0], stream)
 	for i := range l.toks {
 		if l.toks[i].Err != nil {
 			l.RxErrors++
@@ -536,6 +516,9 @@ func (l *Link) Input(stream []byte) {
 			continue
 		}
 		l.frame(l.toks[i].Body, l.toks[i].FCSOK)
+	}
+	if fl != nil {
+		fl.rec.Stamp(prof.StageTokenize)
 	}
 }
 
@@ -561,15 +544,6 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		}
 		return
 	}
-	fl := l.fl
-	var t0 int64
-	sampled := false
-	if fl != nil {
-		sampled = fl.rec.Sampled()
-		if sampled {
-			t0 = fl.rec.Clock()
-		}
-	}
 	// The FCS verdict comes fused from the tokenizer; decode itself
 	// only parses the header, with no second pass over the body.
 	var f ppp.Frame
@@ -584,11 +558,6 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 			l.monitor.CountInError()
 		}
 		return
-	}
-	if sampled {
-		t := fl.rec.Clock()
-		fl.rec.ObserveStage(flight.StageFCS, t-t0)
-		t0 = t
 	}
 	l.RxFrames++
 	switch f.Protocol {
@@ -622,14 +591,7 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 		// Copy out of the tokenizer's recycled arena: the queued
 		// datagram must survive any number of further Input calls.
 		l.rx = append(l.rx, Datagram{Protocol: f.Protocol, Payload: l.copyRx(f.Payload)})
-		if fl != nil {
-			if sampled {
-				fl.rec.ObserveStage(flight.StageDeliver, fl.rec.Clock()-t0)
-			}
-			if fl.peer != nil {
-				fl.peer.Arrive(l.now)
-			}
-		}
+		l.flightArrive()
 	case ppp.ProtoVJC, ppp.ProtoVJU:
 		if l.vjRx == nil {
 			l.protocolReject(&f)
@@ -648,23 +610,11 @@ func (l *Link) frame(body []byte, fcsOK bool) {
 			}
 			return
 		}
-		if sampled {
-			t := fl.rec.Clock()
-			fl.rec.ObserveStage(flight.StageVJ, t-t0)
-			t0 = t
-		}
 		if l.monitor != nil {
 			l.monitor.CountInPacket(len(pkt))
 		}
 		l.rx = append(l.rx, Datagram{Protocol: ppp.ProtoIPv4, Payload: pkt})
-		if fl != nil {
-			if sampled {
-				fl.rec.ObserveStage(flight.StageDeliver, fl.rec.Clock()-t0)
-			}
-			if fl.peer != nil {
-				fl.peer.Arrive(l.now)
-			}
-		}
+		l.flightArrive()
 	default:
 		// Unknown protocol: Protocol-Reject (RFC 1661 §5.7).
 		l.protocolReject(&f)

@@ -157,6 +157,14 @@ func (l *Link) flightNoteError() {
 	}
 }
 
+// flightArrive completes the peer's departure pipe for one delivered
+// datagram (no-op while unarmed or unjoined).
+func (l *Link) flightArrive() {
+	if fl := l.fl; fl != nil && fl.peer != nil {
+		fl.peer.Arrive(l.now)
+	}
+}
+
 // flightTrigger dumps the black box for a named trigger (no-op while
 // unarmed).
 func (l *Link) flightTrigger(reason string) {

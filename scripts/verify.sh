@@ -1,8 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate:
-#   go vet, go build, go test -race, the flight-recorder and
-#   stage-profile overhead gates, the chaos/transport smokes, a 30s
-#   differential fuzz of the fused RX kernel (FUSED_FUZZTIME overrides),
+#   go vet, gofmt, go build, go test -race, the perfbench module's vet
+#   and tests, the flight-recorder and stage-profile overhead gates,
+#   the chaos/transport smokes, a 30s differential fuzz of the fused RX
+#   kernel (FUSED_FUZZTIME overrides),
 #   a decode-throughput floor vs the newest BENCH_*.json snapshot, the
 #   benchmark trend gate, and a short fuzz smoke of every Fuzz* target
 #   (5s each by default; FUZZTIME overrides).
@@ -15,6 +16,14 @@ FUZZTIME="${FUZZTIME:-5s}"
 
 echo "== go vet =="
 go vet ./...
+
+echo "== gofmt =="
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt: these files are not gofmt-clean:"
+    printf '%s\n' "$unformatted"
+    exit 1
+fi
 
 echo "== go build =="
 go build ./...
@@ -34,6 +43,12 @@ go test -race -count 2 ./internal/transport
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== perfbench module (vet + tests) =="
+# perfbench is a nested module (repro/perfbench), so the root
+# ./... patterns never build it; vet and test it on its own so an API
+# change it depends on fails here rather than in the benchmark run.
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== flight recorder overhead gate =="
 # The armed encode benchmark must stay zero-alloc and within
