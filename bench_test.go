@@ -605,10 +605,9 @@ func BenchmarkLinkEncodeSteady(b *testing.B) {
 // comparable. verify.sh gates the pair — armed must stay 0 allocs/op
 // and within a few percent of the unarmed ns/op.
 func BenchmarkLinkEncodeSteadyFlight(b *testing.B) {
-	a, z := newTestPair(b, LinkConfig{}, LinkConfig{})
-	a.ArmFlight(flight.NewRecorder(nil, "bench_a", flight.Config{}))
-	z.ArmFlight(flight.NewRecorder(nil, "bench_z", flight.Config{}))
-	JoinFlight(a, z)
+	a, _ := newTestPair(b,
+		LinkConfig{Observe: &Observe{Flight: &flight.Config{}, FlightName: "bench_a"}},
+		LinkConfig{Observe: &Observe{Flight: &flight.Config{}, FlightName: "bench_z"}})
 	payload := make([]byte, 1500)
 	batch := make([][]byte, 8)
 	for i := range batch {
@@ -799,15 +798,9 @@ func BenchmarkTransportUDPSteady(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer dl.Close()
-	pa, pz := supervisedPorts(ln, dl)
-	ra := flight.NewRecorder(nil, "bench_a", flight.Config{})
-	rz := flight.NewRecorder(nil, "bench_z", flight.Config{})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
-	JoinFlight(pa.Link, pz.Link)
-	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
-		b.Fatal("correlation did not arm on UDP transports")
-	}
+	la := supervisedLink(1, &Observe{Flight: &flight.Config{}, FlightName: "bench_a"})
+	lz := supervisedLink(2, &Observe{Flight: &flight.Config{}, FlightName: "bench_z", Peer: la})
+	pa, pz := NewTransportPort(la, ln), NewTransportPort(lz, dl)
 
 	now := int64(0)
 	deadline := time.Now().Add(15 * time.Second)

@@ -48,13 +48,14 @@
 // captures that hold the evidence. Committed drills live under
 // scenarios/.
 //
-// With -flight DIR (in the -protect and -engine modes) every link is
-// armed with the always-on flight recorder: per-frame latency
-// histograms with exemplars, SLO burn-rate gauges in /metrics, the
-// error-budget board at /slo (render with p5stat -slo), and black-box
-// captures (.p5fr, decode with p5trace -capture) written to DIR on
-// every defect escalation, APS switch, FCS burst, or supervisor
-// restart.
+// With -flight DIR (in the -protect, -engine, -listen/-dial and
+// -scenario modes; the cycle-accurate loopback and -sonet modes have
+// no software link to arm and reject it) every link is armed with the
+// always-on flight recorder: per-frame latency histograms with
+// exemplars, SLO burn-rate gauges in /metrics, the error-budget board
+// at /slo (render with p5stat -slo), and black-box captures (.p5fr,
+// decode with p5trace -capture) written to DIR on every defect
+// escalation, APS switch, FCS burst, or supervisor restart.
 //
 // With -prof DIR the run is the performance observatory: CPU, heap,
 // allocs, mutex, block, and goroutine profiles are captured for the
@@ -120,7 +121,8 @@ type simConfig struct {
 	telemetryAddr string
 
 	// flightDir, when non-empty, arms the flight recorder in the
-	// -protect and -engine modes and writes black-box captures there.
+	// -protect, -engine, -listen/-dial and -scenario modes and writes
+	// black-box captures there.
 	flightDir string
 
 	// profDir, when non-empty, captures runtime profiles for the whole
@@ -178,7 +180,7 @@ func main() {
 	flag.Uint64Var(&cfg.seed, "seed", 1, "workload seed")
 	flag.BoolVar(&cfg.verbose, "v", false, "print per-frame dispositions")
 	flag.StringVar(&cfg.telemetryAddr, "telemetry", "", "serve /metrics, /debug/vars, /debug/pprof/, /trace on this address after the run")
-	flag.StringVar(&cfg.flightDir, "flight", "", "arm the flight recorder (with -protect or -engine); write .p5fr captures to this directory")
+	flag.StringVar(&cfg.flightDir, "flight", "", "arm the flight recorder (with -protect, -engine, -listen/-dial or -scenario); write .p5fr captures to this directory")
 	flag.StringVar(&cfg.profDir, "prof", "", "capture CPU/heap/mutex/block profiles for the run into this directory; with -engine, arm per-shard stage accounting")
 	flag.BoolVar(&cfg.sonetMode, "sonet", false, "carry the line over an STM-1 section with fault injection")
 	flag.BoolVar(&cfg.protectMode, "protect", false, "run the 1+1 APS failover scenario (working-line cut of -los-frames frames)")
@@ -225,6 +227,24 @@ func main() {
 
 // run executes one simulation per cfg, writing the report to out.
 func run(cfg simConfig, out io.Writer) error {
+	mode, flightOK := runLoopback, false
+	switch {
+	case cfg.scenarioFile != "":
+		mode, flightOK = runScenario, true
+	case cfg.net.listen != "" || cfg.net.dial != "":
+		mode, flightOK = runNet, true
+	case cfg.engineLinks > 0:
+		mode, flightOK = runEngine, true
+	case cfg.protectMode:
+		mode, flightOK = runProtect, true
+	case cfg.sonetMode:
+		mode = runSONET
+	}
+	if cfg.flightDir != "" && !flightOK {
+		// The P5 models carry no software link to arm: refuse rather
+		// than leave the capture directory silently empty.
+		return usageError("-flight needs -protect, -engine, -listen/-dial or -scenario")
+	}
 	if cfg.flightDir != "" {
 		// Capture writes land in Recorder.LastErr, not the report —
 		// create the directory up front so a missing one is a loud
@@ -240,22 +260,7 @@ func run(cfg simConfig, out io.Writer) error {
 		}
 		cfg.profSession = s
 	}
-	if cfg.scenarioFile != "" {
-		return runScenario(cfg, out)
-	}
-	if cfg.net.listen != "" || cfg.net.dial != "" {
-		return runNet(cfg, cfg.net, out)
-	}
-	if cfg.engineLinks > 0 {
-		return runEngine(cfg, out)
-	}
-	if cfg.protectMode {
-		return runProtect(cfg, out)
-	}
-	if cfg.sonetMode {
-		return runSONET(cfg, out)
-	}
-	return runLoopback(cfg, out)
+	return mode(cfg, out)
 }
 
 // stopProf ends the run-wide profile capture and reports the files. It
@@ -304,18 +309,24 @@ func parseCommon(cfg simConfig) (int, netsim.SizeDist, error) {
 	return w, dist, nil
 }
 
-// newTelemetry builds the registry/tracer pair when the run should be
-// instrumented (a serve address or a scrape hook is configured).
-func newTelemetry(cfg simConfig) (*telemetry.Registry, *telemetry.Tracer) {
-	if cfg.telemetryAddr == "" && cfg.scrape == nil {
-		return nil, nil
+// observe builds the run's one arming bundle from -telemetry and
+// -flight: the registry/tracer pair when the run should be
+// instrumented (a serve address or a scrape hook is configured), and
+// the flight recorder config when -flight is set. Each mode names its
+// components on a copy and hands it to the constructors.
+func observe(cfg simConfig) gigapos.Observe {
+	var o gigapos.Observe
+	if cfg.telemetryAddr != "" || cfg.scrape != nil {
+		o.Registry, o.Tracer = telemetry.NewRegistry(), telemetry.NewTracer(4096)
+		// Instrumented runs always carry the Go runtime's own vitals —
+		// GC pauses, scheduler latency, goroutine count — refreshed at
+		// every scrape through the registry's sampler hook.
+		prof.ExportRuntime(o.Registry)
 	}
-	reg := telemetry.NewRegistry()
-	// Instrumented runs always carry the Go runtime's own vitals —
-	// GC pauses, scheduler latency, goroutine count — refreshed at
-	// every scrape through the registry's sampler hook.
-	prof.ExportRuntime(reg)
-	return reg, telemetry.NewTracer(4096)
+	if cfg.flightDir != "" {
+		o.Flight = &flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)}
+	}
+	return o
 }
 
 // serveTelemetry starts the exposition endpoint after a run, mounting
@@ -323,10 +334,11 @@ func newTelemetry(cfg simConfig) (*telemetry.Registry, *telemetry.Tracer) {
 // server lives only for the hook call; otherwise it lingers until the
 // process is killed so the operator can attach p5stat, curl /metrics,
 // or pull a profile.
-func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer, board *flight.Board, out io.Writer) error {
+func serveTelemetry(cfg simConfig, o gigapos.Observe, board *flight.Board, out io.Writer) error {
 	if err := stopProf(cfg, out); err != nil {
 		return err
 	}
+	reg := o.Registry
 	if reg == nil {
 		return nil
 	}
@@ -335,7 +347,7 @@ func serveTelemetry(cfg simConfig, reg *telemetry.Registry, tr *telemetry.Tracer
 		addr = "127.0.0.1:0"
 	}
 	telemetry.Publish(reg, "p5sim")
-	mux := telemetry.Mux(reg, tr)
+	mux := telemetry.Mux(reg, o.Tracer)
 	endpoints := "/debug/vars /debug/pprof/ /trace"
 	if board != nil {
 		mux.Handle("/slo", board.Handler())
@@ -398,25 +410,21 @@ func runEngine(cfg simConfig, out io.Writer) error {
 	if steps <= 0 {
 		steps = 1000
 	}
+	o := observe(cfg)
+	o.Name = "linecard"
 	e := gigapos.NewEngine(gigapos.EngineConfig{
 		Links:       cfg.engineLinks,
 		Shards:      cfg.engineShards,
 		PayloadSize: size,
 		Batch:       8,
+		Observe:     &o,
 	})
 	defer e.Close()
-	reg, tr := newTelemetry(cfg)
-	if reg != nil {
-		e.Instrument(reg, "linecard")
-	}
 	var col *prof.Collector
 	if cfg.profDir != "" {
-		col = e.ArmProfile(reg, "linecard", prof.Config{})
+		col = e.ArmProfile(o.Registry, "linecard", prof.Config{})
 	}
-	var board *flight.Board
-	if cfg.flightDir != "" {
-		board = e.ArmFlight(reg, flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)})
-	}
+	board := e.Board()
 
 	if bu := e.BringUp(1024); !bu.Ready {
 		return fmt.Errorf("engine bring-up failed: %s", bu)
@@ -459,7 +467,7 @@ func runEngine(cfg simConfig, out io.Writer) error {
 	if board != nil {
 		flightSummary(out, board, cfg.flightDir)
 	}
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, board, out)
 }
 
 // runLoopback is the default pipeline: transmitter and receiver share
@@ -471,9 +479,9 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 	}
 	gen := netsim.NewGen(cfg.seed, dist, cfg.density)
 	sys := p5.NewSystem(w)
-	reg, tr := newTelemetry(cfg)
-	if reg != nil {
-		sys.Instrument(reg, "p5")
+	o := observe(cfg)
+	if o.Registry != nil {
+		sys.Instrument(o.Registry, "p5")
 	}
 
 	if cfg.errRate > 0 {
@@ -535,7 +543,7 @@ func runLoopback(cfg simConfig, out io.Writer) error {
 		sys.OAM.Read(p5.RegRxRunts))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x causes=[%s]\n",
 		sys.OAM.Read(p5.RegIntStat), causeNames(sys.OAM.Read(p5.RegIntStat)))
-	return serveTelemetry(cfg, reg, tr, nil, out)
+	return serveTelemetry(cfg, o, nil, out)
 }
 
 // causeNames decodes an interrupt status word into its mnemonics.
@@ -563,7 +571,8 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		return err
 	}
 	gen := netsim.NewGen(cfg.seed, dist, cfg.density)
-	reg, tr := newTelemetry(cfg)
+	o := observe(cfg)
+	reg := o.Registry
 
 	regs := p5.NewRegs()
 
@@ -618,7 +627,7 @@ func runSONET(cfg simConfig, out io.Writer) error {
 	var sectionSync func()
 	if reg != nil {
 		// After AttachSection so the OAM's defect hook stays chained.
-		sectionSync = df.Instrument(reg, tr, "sonet")
+		sectionSync = df.Instrument(reg, o.Tracer, "sonet")
 	}
 
 	nFrames := (len(line)+sonet.STM1.PayloadBytes()-1)/sonet.STM1.PayloadBytes() + 2
@@ -685,7 +694,7 @@ func runSONET(cfg simConfig, out io.Writer) error {
 		oam.Read(p5.RegRxFCSErr), oam.Read(p5.RegRxAborts), oam.Read(p5.RegRxRunts))
 	fmt.Fprintf(out, "  OAM interrupts   : stat=%#x irq=%v causes=[%s]\n",
 		oam.Read(p5.RegIntStat), regs.IRQ(), causeNames(oam.Read(p5.RegIntStat)))
-	return serveTelemetry(cfg, reg, tr, nil, out)
+	return serveTelemetry(cfg, o, nil, out)
 }
 
 // runProtect is the -protect scenario: two supervised PPP endpoints on
@@ -704,7 +713,12 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	if cut <= 0 {
 		cut = 30
 	}
-	reg, tr := newTelemetry(cfg)
+	// Both endpoints carry a recorder so a→b latency resolves; b, the
+	// receiving side, exports its probes and carries the SLO.
+	o := observe(cfg)
+	oa, ob := o, o
+	oa.FlightName = "prot_a"
+	ob.Name, ob.FlightName, ob.SLO, ob.SLOName = "link", "prot_b", &flight.SLOConfig{}, "prot"
 
 	lcfg := gigapos.LinkConfig{
 		EchoPeriod: 8, EchoMisses: 3,
@@ -713,13 +727,11 @@ func runProtect(cfg simConfig, out io.Writer) error {
 	pcfg := gigapos.ProtectionConfig{APS: aps.Config{
 		Bidirectional: true, Revertive: true, WaitToRestore: wtrTicks,
 	}}
-	lcfg.Magic, lcfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
+	lcfg.Magic, lcfg.IPAddr, lcfg.Observe = 0xAAAA, [4]byte{10, 0, 0, 1}, &oa
 	a := gigapos.NewProtectedLink(lcfg, pcfg)
-	lcfg.Magic, lcfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
+	ob.Peer = a.Link
+	lcfg.Magic, lcfg.IPAddr, lcfg.Observe = 0xBBBB, [4]byte{10, 0, 0, 2}, &ob
 	b := gigapos.NewProtectedLink(lcfg, pcfg)
-	if reg != nil {
-		b.Instrument(reg, tr, "link")
-	}
 	oam := &p5.OAM{Regs: p5.NewRegs()}
 	oam.AttachAPS(b.Ctrl)
 	oam.Write(p5.RegIntMask, p5.IntAPSSwitch|p5.IntFlightDump|p5.IntSLOBurn|p5.IntProfDump)
@@ -733,24 +745,16 @@ func runProtect(cfg simConfig, out io.Writer) error {
 		})
 	}
 
-	// Flight recorder: arm both endpoints so a→b latency resolves, put
-	// the SLO on the receiving side, and expose dumps through the OAM
-	// interrupt causes. Armed before traffic, as the recorder requires.
+	// Flight recorder dumps and SLO alarms surface through the OAM
+	// interrupt causes.
 	var board *flight.Board
-	var recA, recB *flight.Recorder
-	if cfg.flightDir != "" {
-		fcfg := flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)}
-		recA = flight.NewRecorder(reg, "prot_a", fcfg)
-		recB = flight.NewRecorder(reg, "prot_b", fcfg)
-		a.ArmFlight(recA)
-		b.ArmFlight(recB)
-		gigapos.JoinFlight(a.Link, b.Link)
-		slo := b.FlightSLO(reg, "prot", flight.SLOConfig{})
-		oam.AttachFlight(recB, slo)
+	recA, recB := a.Flight(), b.Flight()
+	if recB != nil {
+		oam.AttachFlight(recB, b.SLO())
 		board = flight.NewBoard()
 		board.Attach(recA)
 		board.Attach(recB)
-		board.AttachSLO(slo)
+		board.AttachSLO(b.SLO())
 	}
 
 	// The scripted per-line scenario: only the a→b working line is cut.
@@ -831,5 +835,5 @@ func runProtect(cfg simConfig, out io.Writer) error {
 			oam.Read(p5.RegFlightCtrl))
 		flightSummary(out, board, cfg.flightDir)
 	}
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, board, out)
 }

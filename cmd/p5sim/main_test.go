@@ -447,6 +447,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
+// TestFlightRejectedWhereUnarmable pins that -flight is a usage error
+// in the two modes that have no software link to arm (the loopback and
+// -sonet P5 models), instead of exiting 0 with an empty capture
+// directory; the directory is not even created.
+func TestFlightRejectedWhereUnarmable(t *testing.T) {
+	for _, sonetMode := range []bool{false, true} {
+		dir := filepath.Join(t.TempDir(), "captures")
+		var out bytes.Buffer
+		err := run(simConfig{width: 32, frames: 20, size: "imix", sonetMode: sonetMode, flightDir: dir}, &out)
+		if _, ok := err.(usageError); !ok {
+			t.Errorf("sonet=%v: err = %v (%T), want a usageError", sonetMode, err, err)
+		} else if !strings.Contains(err.Error(), "-flight") {
+			t.Errorf("sonet=%v: error %q does not name -flight", sonetMode, err)
+		}
+		if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
+			t.Errorf("sonet=%v: capture dir created (stat err %v)", sonetMode, serr)
+		}
+	}
+}
+
 // TestScenarioMode runs the committed fiber-cut drill through the
 // -scenario path (PASS, report names the drill) and a deliberately
 // impossible drill (FAIL, non-nil error, report points at the .p5fr

@@ -10,7 +10,6 @@ import (
 
 	gigapos "repro"
 	"repro/internal/fault"
-	"repro/internal/flight"
 	"repro/internal/transport"
 )
 
@@ -98,7 +97,8 @@ func netTransport(nc netConfig, tcfg transport.Config, i int) (transport.LineTra
 // optional scripted transport chaos, then a measured traffic phase.
 // The NET-REPORT line at the end is machine-greppable (verify.sh's
 // transport smoke gate parses it).
-func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
+func runNet(cfg simConfig, out io.Writer) error {
+	nc := cfg.net
 	if (nc.listen == "") == (nc.dial == "") {
 		return usageError("network mode needs exactly one of -listen or -dial")
 	}
@@ -145,6 +145,8 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 		endpoints[0] = chaos
 	}
 
+	o := observe(cfg)
+	o.Name = "linecard"
 	e := gigapos.NewEngine(gigapos.EngineConfig{
 		Links:       links,
 		Shards:      cfg.engineShards,
@@ -164,21 +166,14 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 			}
 			return endpoints[port], nil
 		},
+		Observe: &o,
 	})
 	defer e.Close()
 
-	reg, tr := newTelemetry(cfg)
 	status := transport.NewStatusBoard()
 	e.EachTransport(status.Add)
 	cfg.mountExtra = status.Mount
-	if reg != nil {
-		e.Instrument(reg, "linecard")
-		e.InstrumentTransports(reg)
-	}
-	var board *flight.Board
-	if cfg.flightDir != "" {
-		board = e.ArmFlight(reg, flight.Config{Dir: cfg.flightDir, Profiler: flightProfiler(cfg)})
-	}
+	board := e.Board()
 	// Socket transports always speak the v2 latency-tracing header, so
 	// the fleet board can trust the armed flags it scrapes.
 	status.SetInfo(cfg.flightDir != "", cfg.profDir != "", true)
@@ -259,7 +254,7 @@ func runNet(cfg simConfig, nc netConfig, out io.Writer) error {
 		roleName, nc.proto, links, steps, delivered, st.RxErrors,
 		renegotiations, ts.Reconnects, ts.Resets, ts.TxDropped, ts.RxDropped, captures,
 		lat.OneWayP50US, lat.OneWayP99US, lat.RTTP50US)
-	return serveTelemetry(cfg, reg, tr, board, out)
+	return serveTelemetry(cfg, o, board, out)
 }
 
 // sumRestarts totals supervisor restarts across this process's local

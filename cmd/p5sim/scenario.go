@@ -18,18 +18,16 @@ func runScenario(cfg simConfig, out io.Writer) error {
 		return usageError(err.Error())
 	}
 
-	dir := cfg.flightDir
-	if dir == "" {
-		// Captures are the failure evidence; always land them somewhere.
-		dir, err = os.MkdirTemp("", "p5sim-scenario-*")
-		if err != nil {
-			return err
-		}
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	// Captures are the failure evidence: without -flight they still
+	// land in a fresh temporary directory.
+	var rc scenario.RunConfig
+	if f := observe(cfg).Flight; f != nil {
+		rc.Flight = *f
+	} else if rc.Flight.Dir, err = os.MkdirTemp("", "p5sim-scenario-*"); err != nil {
 		return err
 	}
-
-	res, err := s.Run(scenario.RunConfig{CaptureDir: dir})
+	dir := rc.Flight.Dir
+	res, err := s.Run(rc)
 	if err != nil {
 		return err
 	}

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/flight"
 	"repro/internal/prof"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
@@ -35,7 +36,8 @@ type EngineConfig struct {
 	// and the engine never shares one across workers.
 	Shards int
 	// Link is the per-endpoint configuration template. Magic numbers
-	// are derived per endpoint so loopback negotiation never collides.
+	// are derived per endpoint so loopback negotiation never collides;
+	// Link.Observe is ignored (Observe below arms the endpoints).
 	Link LinkConfig
 	// PayloadSize is the IPv4 datagram size generated per step
 	// (default 512 octets).
@@ -55,6 +57,17 @@ type EngineConfig struct {
 	// single-ended engine whose peer runs in another process, reached
 	// through the Transport hook (required for those roles).
 	Role EngineRole
+	// Observe arms the engine at construction (nil: unarmed). Registry
+	// gains the engine_* series labelled engine=Name, refreshed at the
+	// end of every Run, and the transport_* series of every line
+	// transport. Flight arms a recorder on every endpoint, named
+	// port<i>_a / port<i>_z, and an SLO evaluator (default objectives)
+	// named port<i> on the z side of every loopback port; Board collects
+	// them. A remote-role engine's recorders also join their transports'
+	// capture correlation (see NewTransportPort). Only Registry, Name
+	// and Flight apply here; the engine names and pairs its endpoints
+	// itself.
+	Observe *Observe
 }
 
 // EngineRole selects the engine's side of each port.
@@ -253,7 +266,10 @@ type Engine struct {
 	// prof is the stage-cost collector (nil until ArmProfile).
 	prof *prof.Collector
 
-	// Telemetry mirrors (nil until Instrument).
+	// board collects the endpoints' recorders and SLOs (nil unless
+	// Observe.Flight arms them).
+	board *flight.Board
+	// Telemetry mirrors (nil unless Observe.Registry is set).
 	telDatagrams *telemetry.Counter
 	telPayload   *telemetry.Counter
 	telLine      *telemetry.Counter
@@ -265,6 +281,10 @@ type Engine struct {
 // call BringUp to complete negotiation before measuring.
 func NewEngine(cfg EngineConfig) *Engine {
 	e := &Engine{cfg: cfg}
+	o := cfg.Observe
+	if o != nil && o.Flight != nil {
+		e.board = flight.NewBoard()
+	}
 	nLinks, nShards := cfg.links(), cfg.shards()
 	payload := make([]byte, cfg.payloadSize())
 	for i := range payload {
@@ -292,9 +312,20 @@ func NewEngine(cfg EngineConfig) *Engine {
 		if cfg.Role == RoleZ {
 			acfg = zcfg // a single-ended engine's local link sits in slot a
 		}
+		acfg.Observe = e.endpointObserve(fmt.Sprintf("port%d_a", i), "", nil)
 		p := &enginePort{a: NewLink(acfg)}
 		if cfg.Role == RoleLoopback {
+			zcfg.Observe = e.endpointObserve(fmt.Sprintf("port%d_z", i), fmt.Sprintf("port%d", i), p.a)
 			p.z = NewLink(zcfg)
+		}
+		if e.board != nil {
+			e.board.Attach(p.a.Flight())
+			if p.z != nil {
+				e.board.Attach(p.z.Flight())
+				if slo := p.z.SLO(); slo != nil {
+					e.board.AttachSLO(slo)
+				}
+			}
 		}
 		if cfg.Transport != nil {
 			ta, tz := cfg.Transport(i)
@@ -325,10 +356,29 @@ func NewEngine(cfg EngineConfig) *Engine {
 		sh := e.shards[i%nShards]
 		sh.ports = append(sh.ports, p)
 	}
+	if o != nil && o.Registry != nil {
+		e.instrument(o.Registry, o.Name)
+	}
 	for _, s := range e.shards {
 		go s.run(&e.wg)
 	}
 	return e
+}
+
+// endpointObserve derives one endpoint's bundle from the engine's: a
+// recorder named rec, an SLO with default objectives named slo when
+// slo is non-empty, paired with peer. Nil when the engine
+// arms no recorders: endpoints export no link series of their own.
+func (e *Engine) endpointObserve(rec, slo string, peer *Link) *Observe {
+	o := e.cfg.Observe
+	if o == nil || o.Flight == nil {
+		return nil
+	}
+	lo := &Observe{Registry: o.Registry, Flight: o.Flight, FlightName: rec, Peer: peer}
+	if slo != "" {
+		lo.SLO, lo.SLOName = &flight.SLOConfig{}, slo
+	}
+	return lo
 }
 
 // Run advances every shard n steps in parallel and blocks until all
@@ -369,6 +419,11 @@ func (e *Engine) ArmProfile(reg *telemetry.Registry, name string, cfg prof.Confi
 
 // Profile returns the collector armed by ArmProfile (nil before).
 func (e *Engine) Profile() *prof.Collector { return e.prof }
+
+// Board returns the /slo board over every endpoint's recorder and SLO
+// (nil unless Observe.Flight armed them). Captures and exemplars may
+// be inspected between Runs.
+func (e *Engine) Board() *flight.Board { return e.board }
 
 // PortBringUp identifies one port that missed the bring-up deadline,
 // with each side's IP readiness (ZReady is true for a single-ended
@@ -485,14 +540,6 @@ func (e *Engine) EachTransport(fn func(name string, t transport.LineTransport)) 
 	}
 }
 
-// InstrumentTransports exports the transport_* series for every line
-// transport the engine owns (no-op on a direct-loopback engine).
-func (e *Engine) InstrumentTransports(reg *telemetry.Registry) {
-	e.EachTransport(func(name string, t transport.LineTransport) {
-		transport.Instrument(reg, name, t)
-	})
-}
-
 // TransportStats sums the counters of every line transport the engine
 // owns. Call only between Runs.
 func (e *Engine) TransportStats() transport.Stats {
@@ -540,10 +587,11 @@ func (e *Engine) Close() {
 	}
 }
 
-// Instrument exports the engine's aggregate counters to reg, refreshed
+// instrument exports the engine's aggregate counters to reg, refreshed
 // at the end of every Run — the same sync-mirror pattern the Link
-// probes use, so a live scrape never races a shard worker.
-func (e *Engine) Instrument(reg *telemetry.Registry, name string) {
+// probes use, so a live scrape never races a shard worker — and the
+// transport_* series of every line transport the engine owns.
+func (e *Engine) instrument(reg *telemetry.Registry, name string) {
 	lbl := telemetry.L("engine", name)
 	e.telDatagrams = reg.Counter("engine_datagrams_total",
 		"Network-layer datagrams delivered end to end, both directions.", lbl)
@@ -556,6 +604,9 @@ func (e *Engine) Instrument(reg *telemetry.Registry, name string) {
 	reg.Gauge("engine_links", "Configured link pairs.", lbl).Set(int64(e.cfg.links()))
 	reg.Gauge("engine_shards", "Worker goroutines.", lbl).Set(int64(len(e.shards)))
 	e.syncTelemetry()
+	e.EachTransport(func(name string, t transport.LineTransport) {
+		transport.Instrument(reg, name, t)
+	})
 }
 
 func (e *Engine) syncTelemetry() {

@@ -19,15 +19,15 @@ import (
 // uploads them as artifacts on soak failure), and the engine's stage
 // cost accounting runs alongside the race detector.
 func TestEngineSoak(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	e := NewEngine(EngineConfig{
 		Links:       8,
 		Shards:      4,
 		PayloadSize: 256,
 		Batch:       4,
+		Observe:     &Observe{Registry: reg, Name: "soak"},
 	})
 	defer e.Close()
-	reg := telemetry.NewRegistry()
-	e.Instrument(reg, "soak")
 	if dir := os.Getenv("SOAK_PROF_DIR"); dir != "" {
 		s, err := prof.StartSession(dir, prof.SessionConfig{})
 		if err != nil {
@@ -136,7 +136,14 @@ func newTestPair(t testing.TB, acfg, zcfg LinkConfig) (*Link, *Link) {
 		acfg.IPAddr = [4]byte{10, 0, 0, 1}
 		zcfg.IPAddr = [4]byte{10, 0, 0, 2}
 	}
-	a, z := NewLink(acfg), NewLink(zcfg)
+	a := NewLink(acfg)
+	if o := zcfg.Observe; o != nil && o.Peer == nil {
+		// Pair the two ends' recorders, as an Engine does.
+		zo := *o
+		zo.Peer = a
+		zcfg.Observe = &zo
+	}
+	z := NewLink(zcfg)
 	a.Open()
 	a.Up()
 	z.Open()

@@ -29,22 +29,20 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 		EchoPeriod: 8, EchoMisses: 2,
 		Supervise: true, RetryMin: 8, RetryMax: 128,
 	}
-	cfg.Magic, cfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
-	a := NewLink(cfg)
-	cfg.Magic, cfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
-	b := NewLink(cfg)
-
-	// Arm before traffic: recorders on both ends, paired so deliveries
-	// at b complete a's departure pipe, with an SLO on the receive side.
+	// Armed at construction: recorders on both ends, paired so
+	// deliveries at b complete a's departure pipe, with an SLO on the
+	// receive side.
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
 	fcfg := flight.Config{Dir: dir, Horizon: 256}
-	ra := flight.NewRecorder(reg, "soak_a", fcfg)
-	rb := flight.NewRecorder(reg, "soak_b", fcfg)
-	a.ArmFlight(ra)
-	b.ArmFlight(rb)
-	JoinFlight(a, b)
-	slo := b.FlightSLO(reg, "soak", flight.SLOConfig{})
+	cfg.Magic, cfg.IPAddr = 0xAAAA, [4]byte{10, 0, 0, 1}
+	cfg.Observe = &Observe{Registry: reg, Flight: &fcfg, FlightName: "soak_a"}
+	a := NewLink(cfg)
+	cfg.Magic, cfg.IPAddr = 0xBBBB, [4]byte{10, 0, 0, 2}
+	cfg.Observe = &Observe{Registry: reg, Flight: &fcfg, FlightName: "soak_b",
+		SLO: &flight.SLOConfig{}, SLOName: "soak", Peer: a}
+	b := NewLink(cfg)
+	ra, rb, slo := a.Flight(), b.Flight(), b.SLO()
 
 	// SONET carry a→b with the fault injector in the middle; b→a is a
 	// clean direct line (same topology as the unarmed soak).
@@ -258,10 +256,9 @@ func TestChaosSoakFlightRecorder(t *testing.T) {
 // FIFO matching, exemplar upkeep, wire-ring taps and sampled stage
 // stamps must all ride the steady-state path without allocating.
 func TestLinkSteadyStateZeroAllocFlightArmed(t *testing.T) {
-	a, z := newTestPair(t, LinkConfig{}, LinkConfig{})
-	a.ArmFlight(flight.NewRecorder(nil, "za", flight.Config{}))
-	z.ArmFlight(flight.NewRecorder(nil, "zz", flight.Config{}))
-	JoinFlight(a, z)
+	a, z := newTestPair(t,
+		LinkConfig{Observe: &Observe{Flight: &flight.Config{}, FlightName: "za"}},
+		LinkConfig{Observe: &Observe{Flight: &flight.Config{}, FlightName: "zz"}})
 
 	payload := make([]byte, 512)
 	batch := [][]byte{payload, payload, payload, payload}

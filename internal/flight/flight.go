@@ -235,13 +235,13 @@ type Recorder struct {
 	// context — before the capture file is written, so the .p5fr a
 	// distributed trigger leaves behind carries everything p5trace
 	// -join needs. The TransportPort wires this to its freeze channel.
-	// Set before arming; called on the triggering goroutine.
+	// Set before traffic; called on the triggering goroutine.
 	Correlate func(*Capture)
 	// OnCapture, when set, observes every capture after it is recorded
-	// (the OAM block raises its interrupt here). Set before arming.
+	// (the OAM block raises its interrupt here). Set before traffic.
 	OnCapture func(*Capture)
 	// RegDump, when set, appends register snapshots to each capture.
-	// Set before arming; called on the triggering goroutine.
+	// Set before traffic; called on the triggering goroutine.
 	RegDump func([]RegSample) []RegSample
 }
 

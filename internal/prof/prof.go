@@ -82,10 +82,18 @@ type Config struct {
 	// RingSize is the per-shard ring of recent sampled whole-step costs
 	// in ns (default 256, rounded up to a power of two).
 	RingSize int
-	// Clock supplies monotonic wall-clock nanoseconds (default
-	// time.Now().UnixNano). Injectable for tests.
+	// Clock supplies monotonic nanoseconds (default monotonicNow).
+	// Injectable for tests.
 	Clock func() int64
 }
+
+// clockBase anchors monotonicNow.
+var clockBase = time.Now()
+
+// monotonicNow is the default Clock: nanoseconds since a fixed base.
+// time.Since reads Go's monotonic clock, which time.Now().UnixNano()
+// drops, so a wall-clock step never shows up as a negative cost.
+func monotonicNow() int64 { return int64(time.Since(clockBase)) }
 
 func (c Config) withDefaults() Config {
 	if c.SampleShift == 0 {
@@ -96,7 +104,7 @@ func (c Config) withDefaults() Config {
 	}
 	c.RingSize = pow2(c.RingSize)
 	if c.Clock == nil {
-		c.Clock = func() int64 { return time.Now().UnixNano() }
+		c.Clock = monotonicNow
 	}
 	return c
 }
@@ -351,9 +359,6 @@ func New(reg *telemetry.Registry, name string, nShards int, cfg Config) *Collect
 
 // Shard returns the i'th worker's profile.
 func (c *Collector) Shard(i int) *ShardProfile { return c.shards[i] }
-
-// Shards returns the shard count.
-func (c *Collector) Shards() int { return len(c.shards) }
 
 // Join settles one Run batch: it charges each shard's wait between its
 // own finish and the global join to the barrier stage, recomputes the

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/telemetry"
 )
@@ -83,6 +84,29 @@ func TestCollectorJoinBarrierAndImbalance(t *testing.T) {
 	// Equal busy times → zero imbalance.
 	if sum := col.Summary(); sum.ImbalancePerMille != 0 {
 		t.Errorf("imbalance = %d‰, want 0", sum.ImbalancePerMille)
+	}
+}
+
+// TestDefaultClockNeverDecreases pins the default Clock to Go's
+// monotonic reading: a reading lies between two time.Since(clockBase)
+// calls around it (a time.Now().UnixNano() default reads at Unix-epoch
+// scale and fails), and successive readings never go backwards. That
+// is as far as a test can go: the property that matters — a wall-clock
+// step (NTP, an operator's date) leaves the readings untouched — needs
+// the machine's clock stepped, which a test must not do.
+func TestDefaultClockNeverDecreases(t *testing.T) {
+	clock := Config{}.withDefaults().Clock
+	lo := int64(time.Since(clockBase))
+	prev := clock()
+	if hi := int64(time.Since(clockBase)); prev < lo || prev > hi {
+		t.Fatalf("default clock read %d, want within [%d, %d] ns since clockBase", prev, lo, hi)
+	}
+	for i := 0; i < 100000; i++ {
+		now := clock()
+		if now < prev {
+			t.Fatalf("reading %d went backwards: %d after %d", i, now, prev)
+		}
+		prev = now
 	}
 }
 

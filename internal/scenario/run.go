@@ -12,15 +12,15 @@ import (
 	"repro/internal/fault"
 	"repro/internal/flight"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
 // RunConfig parameterises one execution of a scenario.
 type RunConfig struct {
-	// CaptureDir receives .p5fr flight captures ("" keeps captures in
-	// memory only — failure reports then cannot point at files).
-	CaptureDir string
+	// Flight configures every endpoint's flight recorder. Its Dir
+	// receives the .p5fr captures ("" keeps captures in memory only —
+	// failure reports then cannot point at files).
+	Flight flight.Config
 }
 
 // Result is the graded outcome of a run.
@@ -141,7 +141,6 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 	}
 
 	res := &Result{Scenario: s.Name}
-	reg := telemetry.NewRegistry()
 	board := flight.NewBoard()
 	sloCfg := flight.SLOConfig{
 		Window:              s.SLO.Window,
@@ -162,31 +161,29 @@ func (s *Scenario) Run(rc RunConfig) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
-		mk := func(port *topo.Port, sub string, magic uint32, ip byte) *endpoint {
+		// Each end carries a recorder and an SLO on its receive
+		// direction, both named for the circuit end; b pairs with a.
+		mk := func(port *topo.Port, sub string, magic uint32, ip byte, peer *gigapos.Link) *endpoint {
+			name := cs.Name + "_" + sub
 			cfg := gigapos.LinkConfig{
 				Magic:         magic,
 				IPAddr:        [4]byte{10, byte(i), 0, ip},
 				Supervise:     s.Links.Supervise,
 				RestartPeriod: s.Links.RestartPeriod,
+				Observe: &gigapos.Observe{Flight: &rc.Flight, FlightName: name,
+					SLO: &sloCfg, SLOName: name, Peer: peer},
 			}
 			ep := &endpoint{
 				link:   gigapos.NewRingLink(cfg, port),
 				expect: make(map[uint32][]byte),
 			}
-			ep.rec = flight.NewRecorder(reg, cs.Name+"_"+sub, flight.Config{Dir: rc.CaptureDir})
+			ep.rec, ep.slo = ep.link.Flight(), ep.link.SLO()
 			ep.rec.OnCapture = notePath
-			ep.link.ArmFlight(ep.rec)
 			board.Attach(ep.rec)
 			return ep
 		}
-		cr := &circuitRun{
-			spec: cs,
-			a:    mk(pa, "a", 0xA0000000+uint32(i)*2, 1),
-			b:    mk(pb, "b", 0xB0000000+uint32(i)*2, 2),
-		}
-		gigapos.JoinFlight(cr.a.link.Link, cr.b.link.Link)
-		cr.a.slo = cr.a.link.FlightSLO(reg, cs.Name+"_a", sloCfg)
-		cr.b.slo = cr.b.link.FlightSLO(reg, cs.Name+"_b", sloCfg)
+		cr := &circuitRun{spec: cs, a: mk(pa, "a", 0xA0000000+uint32(i)*2, 1, nil)}
+		cr.b = mk(pb, "b", 0xB0000000+uint32(i)*2, 2, cr.a.link.Link)
 		board.AttachSLO(cr.a.slo)
 		board.AttachSLO(cr.b.slo)
 		runs = append(runs, cr)

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/flight"
 )
 
 // TestCommittedScenarios is the data-driven chaos suite: every drill
@@ -25,7 +27,7 @@ func TestCommittedScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := s.Run(RunConfig{CaptureDir: t.TempDir()})
+			res, err := s.Run(RunConfig{Flight: flight.Config{Dir: t.TempDir()}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/flight"
 )
 
 func TestParseValidation(t *testing.T) {
@@ -117,7 +119,7 @@ func TestFailureProducesCaptures(t *testing.T) {
 			{Circuit: "c0", Switches: &zero},
 		}},
 	}
-	res, err := s.Run(RunConfig{CaptureDir: t.TempDir()})
+	res, err := s.Run(RunConfig{Flight: flight.Config{Dir: t.TempDir()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,3 @@ func (s *Span) SetScript(sc *fault.Script) {
 // Deframer exposes the receive-side deframer (defect monitor, parity
 // and resync counters) for assertions and stats.
 func (s *Span) Deframer() *sonet.Deframer { return s.df }
-
-// Framer exposes the transmit-side framer.
-func (s *Span) Framer() *sonet.Framer { return s.fr }
-
-// Defect reports whether the span currently shows a service-affecting
-// receive defect.
-func (s *Span) Defect() bool {
-	return s.df.Defects.Active()&sonet.ServiceAffecting != 0
-}

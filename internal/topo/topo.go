@@ -211,9 +211,6 @@ func (r *Ring) SpansBetween(u, v int) (uv, vu *Span, err error) {
 	return nil, nil, fmt.Errorf("topo: nodes %d and %d are not adjacent", u, v)
 }
 
-// Circuits returns the provisioned circuits.
-func (r *Ring) Circuits() []*Circuit { return r.circuits }
-
 // AddCircuit provisions a bidirectional circuit and returns its two
 // endpoint ports (at c.A and c.B respectively). Call before the first
 // Tick.
@@ -321,9 +318,6 @@ func newNode(r *Ring, id int) *Node {
 
 // RingAPS returns the node's BLSR state machine (nil in UPSR mode).
 func (n *Node) RingAPS() *RingAPS { return n.raps }
-
-// Port returns the node's endpoint for slot, if any.
-func (n *Node) Port(slot int) *Port { return n.ports[slot] }
 
 // out and in return the spans leaving and entering the node on a
 // rotation.

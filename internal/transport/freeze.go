@@ -23,7 +23,8 @@ type FreezeInfo struct {
 
 // Freezer is implemented by transports that carry the freeze side
 // channel (UDP, TCP). The in-process Pipe does not: both ends live in
-// one process and JoinFlight already correlates them.
+// one process, where pairing the links' recorders (gigapos
+// Observe.Peer) already correlates them.
 type Freezer interface {
 	// SendFreeze queues a freeze for transmission to the peer
 	// (best-effort, retransmitted while the line is alive).

@@ -11,6 +11,7 @@ import (
 	"repro/internal/ppp"
 	"repro/internal/prof"
 	"repro/internal/reliable"
+	"repro/internal/telemetry"
 	"repro/internal/vj"
 )
 
@@ -92,6 +93,10 @@ type LinkConfig struct {
 	// scheduling, de-synchronising links that fail together (0 derives
 	// a per-link seed from Magic).
 	JitterSeed uint64
+
+	// Observe arms the endpoint's telemetry and flight recorder at
+	// construction (nil: unarmed).
+	Observe *Observe
 }
 
 // Datagram is one received network-layer packet.
@@ -159,11 +164,15 @@ type Link struct {
 	RxBadAuth          uint64
 	EchoTimeouts       uint64
 
-	// Telemetry (nil until Instrument).
-	tel *linkTelemetry
-	// Flight recorder (nil until ArmFlight).
-	fl  *flightState
-	now int64 // virtual time of the latest Advance, for event stamps
+	// Telemetry and flight recorder (nil unless LinkConfig.Observe
+	// arms them): the registry mirrors' refresh, run on every Advance
+	// (the control-plane cadence, so no hot-path cost), the event
+	// tracer and its scope, and the recorder state.
+	telSync    func()
+	tracer     *telemetry.Tracer
+	traceScope string
+	fl         *flightState
+	now        int64 // virtual time of the latest Advance, for event stamps
 }
 
 // ErrLinkDown is returned when sending on a link whose LCP (or IPCP,
@@ -245,6 +254,7 @@ func NewLink(cfg LinkConfig) *Link {
 		}
 		l.sup = &supervisor{lineOK: true, rng: netsim.NewRand(seed)}
 	}
+	l.arm(cfg.Observe)
 	return l
 }
 
@@ -311,8 +321,8 @@ func (l *Link) Advance(now int64) {
 	if l.fl != nil {
 		l.serviceFlight(now)
 	}
-	if l.tel != nil {
-		l.tel.sync()
+	if l.telSync != nil {
+		l.telSync()
 	}
 }
 

@@ -1,17 +1,61 @@
 package gigapos
 
 import (
+	"repro/internal/flight"
 	"repro/internal/lcp"
 	"repro/internal/telemetry"
 )
 
-// linkTelemetry holds a Link's probe state: the registry mirrors for
-// its plain counters (refreshed on every Advance — the control-plane
-// cadence, so no hot-path cost) and the shared event tracer.
-type linkTelemetry struct {
-	tracer *telemetry.Tracer
-	scope  string
-	sync   func()
+// Observe arms a component's observability at construction: it is the
+// package's one arming surface. LinkConfig.Observe arms a Link,
+// RingLink or ProtectedLink; EngineConfig.Observe arms an Engine. Every
+// field is optional, and a nil bundle leaves the component unarmed: its
+// hot path then pays only nil checks. Each constructor wires its own
+// extras once (protection-switch hooks, APS and deframer probes,
+// capture correlation, transport series), so there is no ordering rule.
+type Observe struct {
+	// Registry receives the exported series; nil exports none.
+	Registry *telemetry.Registry
+	// Tracer receives structured events (state transitions, supervisor
+	// actions, echo timeouts); nil emits none.
+	Tracer *telemetry.Tracer
+	// Name labels the component's own series: link=Name on a Link (a
+	// ProtectedLink adds aps_* and Name_working / Name_protect), and
+	// engine=Name on an Engine. A Link with no Name exports no protocol
+	// series and emits no events.
+	Name string
+
+	// Flight, when non-nil, arms the flight recorder, named FlightName
+	// on a Link (its flight_* series carry link=FlightName, and so do
+	// its capture file names). An Engine arms every endpoint, named
+	// port<i>_a / port<i>_z, and collects them on its Board.
+	Flight     *flight.Config
+	FlightName string
+	// SLO, when non-nil alongside Flight, attaches an SLO evaluator to
+	// the receive direction, named SLOName on a Link. An Engine ignores
+	// it: it puts one with default objectives, named port<i>, on the z
+	// side of every loopback port.
+	SLO     *flight.SLOConfig
+	SLOName string
+	// Peer is the Link at the other end of the line. When both ends
+	// carry a recorder, each side's deliveries complete the other's
+	// departure pipe: the end-to-end latency span. Name it on the
+	// second link of a pair.
+	Peer *Link
+}
+
+// arm arms the link per o; NewLink calls it last, once the
+// optional machinery (VJ, LQM, supervisor) the probes read exists.
+func (l *Link) arm(o *Observe) {
+	if o == nil {
+		return
+	}
+	if o.Registry != nil && o.Name != "" {
+		l.instrument(o.Registry, o.Tracer, o.Name)
+	}
+	if o.Flight != nil {
+		l.armFlight(o)
+	}
 }
 
 // trace emits a structured event on the link's tracer (no-op while
@@ -22,17 +66,16 @@ func (l *Link) trace(name, detail string, v1, v2 int64) {
 	if l.fl != nil {
 		l.fl.rec.Event(l.now, name, detail, v1, v2)
 	}
-	if l.tel == nil || l.tel.tracer == nil {
-		return
+	if l.tracer != nil {
+		l.tracer.Emit(l.now, l.traceScope, name, detail, v1, v2)
 	}
-	l.tel.tracer.Emit(l.now, l.tel.scope, name, detail, v1, v2)
 }
 
-// Instrument exports the link's protocol counters to reg — every
+// instrument exports the link's protocol counters to reg — every
 // series labelled {link=name} — and emits structured events (LCP/IPCP
 // state transitions, supervisor actions, echo timeouts) to tr, which
-// may be nil to disable tracing. Call once, before traffic.
-func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
+// may be nil to disable tracing.
+func (l *Link) instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
 	lbl := telemetry.L("link", name)
 	type tap struct {
 		c    *telemetry.Counter
@@ -108,17 +151,14 @@ func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name st
 				func() uint64 { return l.sup.LQMRestarts }})
 	}
 
-	l.tel = &linkTelemetry{
-		tracer: tr,
-		scope:  "link:" + name,
-		sync: func() {
-			for _, t := range taps {
-				t.c.Set(t.read())
-			}
-			for _, g := range gauges {
-				g.g.Set(g.read())
-			}
-		},
+	l.tracer, l.traceScope = tr, "link:"+name
+	l.telSync = func() {
+		for _, t := range taps {
+			t.c.Set(t.read())
+		}
+		for _, g := range gauges {
+			g.g.Set(g.read())
+		}
 	}
 
 	lcpTrans := reg.Counter("link_lcp_transitions_total", "LCP automaton state transitions.", lbl)
@@ -131,13 +171,5 @@ func (l *Link) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name st
 		ipcpTrans.Inc()
 		l.trace("ipcp-transition", from.String()+"->"+to.String(), int64(from), int64(to))
 	}
-	l.tel.sync()
-}
-
-// SyncTelemetry refreshes the link's exported mirrors immediately
-// (Advance also does this every call). No-op when uninstrumented.
-func (l *Link) SyncTelemetry() {
-	if l.tel != nil {
-		l.tel.sync()
-	}
+	l.telSync()
 }

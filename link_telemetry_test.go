@@ -20,11 +20,11 @@ func TestLinkInstrumentTelemetry(t *testing.T) {
 		WantVJ:    true, AllowVJ: true,
 	}
 	cfg.Magic, cfg.IPAddr = 0x1111, [4]byte{10, 0, 0, 1}
+	cfg.Observe = &Observe{Registry: reg, Tracer: tr, Name: "a"}
 	a := NewLink(cfg)
 	cfg.Magic, cfg.IPAddr = 0x2222, [4]byte{10, 0, 0, 2}
+	cfg.Observe = &Observe{Registry: reg, Tracer: tr, Name: "b"}
 	b := NewLink(cfg)
-	a.Instrument(reg, tr, "a")
-	b.Instrument(reg, tr, "b")
 
 	a.Open()
 	b.Open()

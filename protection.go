@@ -3,7 +3,6 @@ package gigapos
 import (
 	"repro/internal/aps"
 	"repro/internal/sonet"
-	"repro/internal/telemetry"
 )
 
 // This file wires a Link to a 1+1 protected SONET line pair: one PPP
@@ -58,7 +57,12 @@ type ProtectedLink struct {
 	telSync []func()
 }
 
-// NewProtectedLink builds a Link plus its protected line pair.
+// NewProtectedLink builds a Link plus its protected line pair, armed
+// per cfg.Observe: with a Registry and Name it also exports the APS
+// controller under "aps" and each line's deframer under Name_working /
+// Name_protect (the mirrors refresh on every Advance), and every APS
+// selector movement records the switch duration for the SLO failover
+// objective and dumps the black box.
 func NewProtectedLink(cfg LinkConfig, pcfg ProtectionConfig) *ProtectedLink {
 	pl := &ProtectedLink{Link: NewLink(cfg), Ctrl: aps.NewController(pcfg.APS)}
 	level := pcfg.level()
@@ -80,15 +84,25 @@ func NewProtectedLink(cfg LinkConfig, pcfg ProtectionConfig) *ProtectedLink {
 	pl.df[aps.Protect].OnAPS = func(k1, k2 byte) {
 		pl.Ctrl.ReceiveK1K2(pl.now, k1, k2)
 	}
+	pl.Ctrl.OnSwitch = func(e aps.SwitchEvent) {
+		pl.Link.noteSwitch("aps-switch", e.Trigger.String(), int64(e.To), e.Duration)
+	}
+	if o := cfg.Observe; o != nil && o.Registry != nil && o.Name != "" {
+		reg, tr, name := o.Registry, o.Tracer, o.Name
+		discarded := reg.Counter(name+"_standby_discarded_octets_total",
+			"Standby-line payload octets dropped by the receive selector.")
+		pl.telSync = []func(){
+			pl.Ctrl.Instrument(reg, tr, "aps"),
+			pl.df[aps.Working].Instrument(reg, tr, name+"_working"),
+			pl.df[aps.Protect].Instrument(reg, tr, name+"_protect"),
+			func() { discarded.Set(pl.DiscardedStandbyOctets) },
+		}
+	}
 	return pl
 }
 
 // Active returns the line the receive selector currently follows.
 func (pl *ProtectedLink) Active() aps.Line { return pl.Ctrl.Active() }
-
-// Deframer exposes a line's receive deframer (defect monitors,
-// counters) for tests and OAM attachment.
-func (pl *ProtectedLink) Deframer(line aps.Line) *sonet.Deframer { return pl.df[int(line)&1] }
 
 // Advance moves the endpoint and the protection controller one virtual
 // time step. Call once per frame time, after the tick's line feeds.
@@ -150,21 +164,4 @@ func (pl *ProtectedLink) observe(line aps.Line) {
 	} else {
 		pl.Link.NotifyDefects(0)
 	}
-}
-
-// Instrument exports the full protected-endpoint probe set: the Link's
-// protocol counters under name, the APS controller under "aps", and
-// each line's deframer under name_working / name_protect. The mirrors
-// refresh on every Advance.
-func (pl *ProtectedLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
-	pl.Link.Instrument(reg, tr, name)
-	pl.telSync = append(pl.telSync,
-		pl.Ctrl.Instrument(reg, tr, "aps"),
-		pl.df[aps.Working].Instrument(reg, tr, name+"_working"),
-		pl.df[aps.Protect].Instrument(reg, tr, name+"_protect"))
-	discarded := reg.Counter(name+"_standby_discarded_octets_total",
-		"Standby-line payload octets dropped by the receive selector.")
-	pl.telSync = append(pl.telSync, func() {
-		discarded.Set(pl.DiscardedStandbyOctets)
-	})
 }

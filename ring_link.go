@@ -1,10 +1,6 @@
 package gigapos
 
-import (
-	"repro/internal/flight"
-	"repro/internal/telemetry"
-	"repro/internal/topo"
-)
+import "repro/internal/topo"
 
 // RingLink is the ring-aware endpoint: a full PPP Link whose line
 // octets ride a circuit on a topo.Ring instead of a dedicated fibre
@@ -23,8 +19,7 @@ type RingLink struct {
 	*Link
 	Port *topo.Port
 
-	rxBuf   []byte
-	telSync []func()
+	rxBuf []byte
 }
 
 // ringRestartPeriod is the default LCP/IPCP restart timer for ring
@@ -34,7 +29,10 @@ type RingLink struct {
 // livelocks retiring every ID before its Ack returns.
 const ringRestartPeriod = 64
 
-// NewRingLink builds a link over a ring circuit endpoint.
+// NewRingLink builds a link over a ring circuit endpoint, armed per
+// cfg.Observe. Every selector movement records the outage it healed
+// as the SLO failover duration and dumps the black box (no-ops while
+// unarmed).
 func NewRingLink(cfg LinkConfig, port *topo.Port) *RingLink {
 	if cfg.RestartPeriod == 0 {
 		cfg.RestartPeriod = ringRestartPeriod
@@ -53,6 +51,13 @@ func NewRingLink(cfg LinkConfig, port *topo.Port) *RingLink {
 			rl.Link.NotifyDefects(0)
 		}
 	}
+	prevSwitch := port.OnSwitch
+	port.OnSwitch = func(now int64, from, to topo.Rotation, outage int64) {
+		if prevSwitch != nil {
+			prevSwitch(now, from, to, outage)
+		}
+		rl.Link.noteSwitch("ring-switch", to.String(), int64(to), outage)
+	}
 	return rl
 }
 
@@ -68,50 +73,4 @@ func (rl *RingLink) Advance(now int64) {
 	if len(rl.rxBuf) > 0 {
 		rl.Link.Input(rl.rxBuf)
 	}
-	for _, f := range rl.telSync {
-		f()
-	}
-}
-
-// ArmFlight arms the underlying link and additionally dumps the black
-// box on every ring selector movement, recording the outage the
-// switch healed as the SLO failover duration.
-func (rl *RingLink) ArmFlight(rec *flight.Recorder) {
-	rl.Link.ArmFlight(rec)
-	prev := rl.Port.OnSwitch
-	rl.Port.OnSwitch = func(now int64, from, to topo.Rotation, outage int64) {
-		if prev != nil {
-			prev(now, from, to, outage)
-		}
-		rl.Link.FlightSetFailover(outage)
-		rl.Link.trace("ring-switch", to.String(), int64(to), outage)
-		rl.Link.flightTrigger("ring-switch")
-	}
-}
-
-// Instrument exports the link's probe set under name plus the ring
-// endpoint's selector counters. Mirrors refresh on every Advance.
-func (rl *RingLink) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer, name string) {
-	rl.Link.Instrument(reg, tr, name)
-	switches := reg.Counter(name+"_ring_switches_total",
-		"Path selector movements at this ring endpoint.")
-	fill := reg.Counter(name+"_ring_fill_octets_total",
-		"Idle flag octets inserted while the add queue ran dry.")
-	drops := reg.Counter(name+"_ring_rx_drops_total",
-		"Drop-stream octets discarded to the receive depth cap.")
-	sel := reg.Gauge(name+"_ring_selected_rotation",
-		"Rotation the drop selector currently delivers (0 east, 1 west).")
-	down := reg.Gauge(name+"_ring_down",
-		"1 while the circuit is squelched (no rotation delivers).")
-	rl.telSync = append(rl.telSync, func() {
-		switches.Set(rl.Port.Switches)
-		fill.Set(rl.Port.FillOctets)
-		drops.Set(rl.Port.RxDrops)
-		sel.Set(int64(rl.Port.Selected()))
-		if rl.Port.Down() {
-			down.Set(1)
-		} else {
-			down.Set(0)
-		}
-	})
 }

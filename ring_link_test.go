@@ -11,7 +11,7 @@ import (
 
 // ringPair builds a 4-node UPSR ring with one circuit 0↔2 and a
 // RingLink on each end.
-func ringPair(t *testing.T, mode topo.Mode) (*topo.Ring, *RingLink, *RingLink) {
+func ringPair(t *testing.T, mode topo.Mode, oa, ob *Observe) (*topo.Ring, *RingLink, *RingLink) {
 	t.Helper()
 	r, err := topo.NewRing(topo.Config{Nodes: 4, Mode: mode})
 	if err != nil {
@@ -21,8 +21,11 @@ func ringPair(t *testing.T, mode topo.Mode) (*topo.Ring, *RingLink, *RingLink) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := NewRingLink(LinkConfig{Magic: 0xAA, IPAddr: [4]byte{10, 0, 0, 1}}, pa)
-	b := NewRingLink(LinkConfig{Magic: 0xBB, IPAddr: [4]byte{10, 0, 0, 2}}, pb)
+	a := NewRingLink(LinkConfig{Magic: 0xAA, IPAddr: [4]byte{10, 0, 0, 1}, Observe: oa}, pa)
+	if ob != nil {
+		ob.Peer = a.Link
+	}
+	b := NewRingLink(LinkConfig{Magic: 0xBB, IPAddr: [4]byte{10, 0, 0, 2}, Observe: ob}, pb)
 	return r, a, b
 }
 
@@ -62,7 +65,7 @@ func cutRing(t *testing.T, r *topo.Ring, u, v int, at, ticks int64) {
 }
 
 func TestRingLinkBringUpAndTransfer(t *testing.T) {
-	r, a, b := ringPair(t, topo.UPSR)
+	r, a, b := ringPair(t, topo.UPSR, nil, nil)
 	now := ringBringUp(t, r, a, b, 0)
 	want := [][]byte{{0x45, 1, 2, 3}, {0x45, 9, 8, 7, 6}}
 	for _, d := range want {
@@ -88,14 +91,11 @@ func TestRingLinkBringUpAndTransfer(t *testing.T) {
 }
 
 func TestRingLinkHitlessCutNoRenegotiation(t *testing.T) {
-	r, a, b := ringPair(t, topo.UPSR)
-
 	reg := telemetry.NewRegistry()
-	ra := flight.NewRecorder(reg, "ring_a", flight.Config{Dir: t.TempDir()})
-	rb := flight.NewRecorder(reg, "ring_b", flight.Config{Dir: t.TempDir()})
-	a.ArmFlight(ra)
-	b.ArmFlight(rb)
-	JoinFlight(a.Link, b.Link)
+	r, a, b := ringPair(t, topo.UPSR,
+		&Observe{Registry: reg, Flight: &flight.Config{Dir: t.TempDir()}, FlightName: "ring_a"},
+		&Observe{Registry: reg, Flight: &flight.Config{Dir: t.TempDir()}, FlightName: "ring_b"})
+	rb := b.Flight()
 
 	now := ringBringUp(t, r, a, b, 0)
 	cutAt := now + 100

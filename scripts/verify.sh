@@ -53,30 +53,52 @@ echo "== perfbench module (vet + tests) =="
 echo "== flight recorder overhead gate =="
 # The armed encode benchmark must stay zero-alloc and within
 # FLIGHT_OVERHEAD_PCT (default 5) percent of the unarmed baseline —
-# the recorder's contract is an invisible transmit fast path.
-FLIGHT_BENCHTIME="${FLIGHT_BENCHTIME:-5000x}"
-bench_out=$(go test -run '^$' -bench '^BenchmarkLinkEncodeSteady(Flight)?$' \
-    -benchtime "$FLIGHT_BENCHTIME" -count 3 -benchmem .)
-printf '%s\n' "$bench_out"
-printf '%s\n' "$bench_out" | awk -v tol="${FLIGHT_OVERHEAD_PCT:-5}" '
-$1 ~ /^BenchmarkLinkEncodeSteady(-[0-9]+)?$/ {
-    if (nb == 0 || $3 < base) base = $3     # best-of-count: noise floor
-    nb++
+# the recorder's contract is an invisible transmit fast path. Host
+# noise (steal, frequency, neighbours) moves single runs by 10-20% on
+# a shared host, so the gate is a same-run paired comparison: 31 pairs
+# of back-to-back invocations of one test binary, alternating which
+# side runs first, each pair giving one armed/base ns/op ratio; the
+# median ratio must stay within the bound.
+FLIGHT_BENCHTIME="${FLIGHT_BENCHTIME:-2000x}"
+flight_dir=$(mktemp -d)
+go test -c -o "$flight_dir/gigapos.test" .
+# flight_bench NAME prints one invocation's "ns/op allocs/op".
+flight_bench() {
+    "$flight_dir/gigapos.test" -test.run '^$' -test.bench "^$1\$" \
+        -test.benchtime "$FLIGHT_BENCHTIME" -test.benchmem |
+        awk -v b="$1" '$1 ~ "^" b "(-[0-9]+)?$" { print $3, $(NF-1) }'
 }
-$1 ~ /^BenchmarkLinkEncodeSteadyFlight(-[0-9]+)?$/ {
-    if (na == 0 || $3 < armed) armed = $3
-    na++
-    if ($(NF-1) + 0 != 0) { bad_allocs = $(NF-1) }
+pair=0
+while [ "$pair" -lt 31 ]; do
+    if [ $((pair % 2)) -eq 0 ]; then
+        base=$(flight_bench BenchmarkLinkEncodeSteady)
+        armed=$(flight_bench BenchmarkLinkEncodeSteadyFlight)
+    else
+        armed=$(flight_bench BenchmarkLinkEncodeSteadyFlight)
+        base=$(flight_bench BenchmarkLinkEncodeSteady)
+    fi
+    echo "$pair $base $armed"
+    pair=$((pair + 1))
+done > "$flight_dir/pairs"
+awk -v tol="${FLIGHT_OVERHEAD_PCT:-5}" '
+NF != 5 { missing = $1 + 1; next }
+$5 + 0 != 0 { bad_allocs = $5 }
+{
+    ratio = $4 / $2
+    for (i = n++; i > 0 && r[i - 1] > ratio; i--) r[i] = r[i - 1]   # insertion sort
+    r[i] = ratio
 }
 END {
-    if (nb == 0 || na == 0) { print "flight gate: benchmark output missing"; exit 1 }
+    if (missing) { printf "flight gate: benchmark output missing in pair %d\n", missing - 1; exit 1 }
     if (bad_allocs != "") { printf "flight gate: armed allocs/op = %s, want 0\n", bad_allocs; exit 1 }
-    if (armed > base * (1 + tol / 100)) {
-        printf "flight gate: armed %.0f ns/op vs base %.0f ns/op exceeds %s%%\n", armed, base, tol
+    med = (n % 2) ? r[(n - 1) / 2] : (r[n / 2 - 1] + r[n / 2]) / 2
+    if (med > 1 + tol / 100) {
+        printf "flight gate: median armed/base ratio %.3f over %d pairs (range %.3f-%.3f) exceeds %s%%\n", med, n, r[0], r[n - 1], tol
         exit 1
     }
-    printf "flight gate: OK (armed %.0f ns/op vs base %.0f ns/op, 0 allocs, tol %s%%)\n", armed, base, tol
-}'
+    printf "flight gate: OK (median armed/base ratio %.3f over %d pairs, range %.3f-%.3f, 0 allocs, tol %s%%)\n", med, n, r[0], r[n - 1], tol
+}' "$flight_dir/pairs"
+rm -rf "$flight_dir"
 
 echo "== stage-profile overhead gate =="
 # The armed engine benchmark (stage cost accounting, default 1-in-32

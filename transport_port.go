@@ -32,10 +32,10 @@ type TransportPort struct {
 	wasUp    bool // liveness seen by the previous Poll
 	rxChunks [][]byte
 
-	// Correlation plumbing (ArmCorrelation): the armed recorder, the
-	// transport's freeze side channel and latency meter, and the peer
-	// freeze currently being serviced (stamped onto the capture its
-	// Trigger produces).
+	// Correlation plumbing (see NewTransportPort): the link's recorder,
+	// the transport's freeze side channel and latency meter, and the
+	// peer freeze currently being serviced (stamped onto the capture
+	// its Trigger produces).
 	rec         *flight.Recorder
 	fz          transport.Freezer
 	lm          transport.LatencyMeter
@@ -44,32 +44,24 @@ type TransportPort struct {
 	rxFreezes   []transport.FreezeInfo
 }
 
-// NewTransportPort binds l to t.
-func NewTransportPort(l *Link, t transport.LineTransport) *TransportPort {
-	return &TransportPort{Link: l, T: t}
-}
-
-// ArmCorrelation joins the port's flight recorder to the transport's
-// freeze side channel, turning isolated black-box dumps into
-// correlated capture pairs (DESIGN.md §16): a local trigger on the
+// NewTransportPort binds l to t. When l carries a flight recorder and
+// t a freeze side channel (transport.Freezer: UDP and TCP, not Pipe),
+// the port joins the recorder to it, turning isolated black-box dumps
+// into correlated capture pairs (DESIGN.md §16): a local trigger on the
 // correlation leader mints a shared incident ID and freeze-pings the
 // peer; the peer either back-stamps the ID onto the capture its own
 // detection already produced, or dumps fresh under reason
 // "peer-freeze". Every capture is additionally stamped with the
 // transport's clock/tick offset estimates — the p5trace -join
-// alignment inputs. Reports false (and arms nothing) when the
-// transport has no freeze channel (Pipe). Call after ArmFlight, before
-// traffic.
-func (p *TransportPort) ArmCorrelation(rec *flight.Recorder) bool {
-	fz, ok := p.T.(transport.Freezer)
-	if !ok || rec == nil {
-		return false
+// alignment inputs.
+func NewTransportPort(l *Link, t transport.LineTransport) *TransportPort {
+	p := &TransportPort{Link: l, T: t}
+	if fz, ok := t.(transport.Freezer); ok && l.Flight() != nil {
+		p.rec, p.fz = l.Flight(), fz
+		p.lm, _ = t.(transport.LatencyMeter)
+		p.rec.Correlate = p.correlate
 	}
-	p.rec = rec
-	p.fz = fz
-	p.lm, _ = p.T.(transport.LatencyMeter)
-	rec.Correlate = p.correlate
-	return true
+	return p
 }
 
 // correlate runs inside Recorder.Trigger, before the capture file is

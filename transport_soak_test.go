@@ -32,25 +32,27 @@ func udpPair(t *testing.T, cfg transport.Config) (ln, dl *transport.UDP) {
 	return ln, dl
 }
 
-// supervisedPorts builds a supervised link pair carried by the given
-// transports.
-func supervisedPorts(ta, tz transport.LineTransport) (a, z *TransportPort) {
+// supervisedLink builds one opened, supervised endpoint (host 1 or 2 of
+// 10.9.0.0/24) armed per o.
+func supervisedLink(host byte, o *Observe) *Link {
 	// RestartPeriod must exceed the real-socket round trip expressed in
 	// virtual ticks, or every Configure-Ack arrives after its request
 	// timed out and negotiation exhausts MaxConfigure.
-	la := NewLink(LinkConfig{
-		Magic: 0xA0000001, IPAddr: [4]byte{10, 9, 0, 1},
+	l := NewLink(LinkConfig{
+		Magic: 0xA0000000 + uint32(host), IPAddr: [4]byte{10, 9, 0, host},
 		Supervise: true, RetryMin: 8, RetryMax: 64, RestartPeriod: 24,
+		Observe: o,
 	})
-	lz := NewLink(LinkConfig{
-		Magic: 0xA0000002, IPAddr: [4]byte{10, 9, 0, 2},
-		Supervise: true, RetryMin: 8, RetryMax: 64, RestartPeriod: 24,
-	})
-	la.Open()
-	la.Up()
-	lz.Open()
-	lz.Up()
-	return NewTransportPort(la, ta), NewTransportPort(lz, tz)
+	l.Open()
+	l.Up()
+	return l
+}
+
+// supervisedPorts builds a supervised link pair carried by the given
+// transports, each end armed per its bundle (nil: unarmed) and left
+// unpaired, as two processes would be.
+func supervisedPorts(ta, tz transport.LineTransport, oa, oz *Observe) (a, z *TransportPort) {
+	return NewTransportPort(supervisedLink(1, oa), ta), NewTransportPort(supervisedLink(2, oz), tz)
 }
 
 // TestTransportChaosSoakUDP is the acceptance drill for the socket
@@ -67,12 +69,10 @@ func TestTransportChaosSoakUDP(t *testing.T) {
 
 	const blackoutFrom, blackoutTo = 1200, 1700
 	chaos := fault.WrapTransport(ln).Blackout(blackoutFrom, blackoutTo)
-	pa, pz := supervisedPorts(chaos, dl)
-
-	ra := flight.NewRecorder(nil, "chaos_a", flight.Config{})
-	rz := flight.NewRecorder(nil, "chaos_z", flight.Config{})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
+	pa, pz := supervisedPorts(chaos, dl,
+		&Observe{Flight: &flight.Config{}, FlightName: "chaos_a"},
+		&Observe{Flight: &flight.Config{}, FlightName: "chaos_z"})
+	ra, rz := pa.Link.Flight(), pz.Link.Flight()
 
 	template := make([]byte, 256)
 	for i := range template {
@@ -186,7 +186,7 @@ func TestTransportDupReorderSoakUDP(t *testing.T) {
 	// sustained delivery is expected alongside the chaos.
 	ca := fault.WrapTransport(ln).Randomize(101, 0, 0.10, 0.10)
 	cz := fault.WrapTransport(dl).Randomize(202, 0, 0.10, 0.10)
-	pa, pz := supervisedPorts(ca, cz)
+	pa, pz := supervisedPorts(ca, cz, nil, nil)
 
 	template := make([]byte, 200)
 	for i := range template {
@@ -393,16 +393,11 @@ func TestTransportCorrelatedCapturesUDP(t *testing.T) {
 
 	const blackoutFrom, blackoutTo = 1200, 1700
 	chaos := fault.WrapTransport(ln).Blackout(blackoutFrom, blackoutTo)
-	pa, pz := supervisedPorts(chaos, dl)
-
 	dirA, dirZ := t.TempDir(), t.TempDir()
-	ra := flight.NewRecorder(nil, "corr_a", flight.Config{Dir: dirA})
-	rz := flight.NewRecorder(nil, "corr_z", flight.Config{Dir: dirZ})
-	pa.Link.ArmFlight(ra)
-	pz.Link.ArmFlight(rz)
-	if !pa.ArmCorrelation(ra) || !pz.ArmCorrelation(rz) {
-		t.Fatal("UDP transports did not expose the freeze channel")
-	}
+	pa, pz := supervisedPorts(chaos, dl,
+		&Observe{Flight: &flight.Config{Dir: dirA}, FlightName: "corr_a"},
+		&Observe{Flight: &flight.Config{Dir: dirZ}, FlightName: "corr_z"})
+	ra, rz := pa.Link.Flight(), pz.Link.Flight()
 
 	now := int64(0)
 	run := func(ticks int) {
